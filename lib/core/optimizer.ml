@@ -148,6 +148,7 @@ type result = {
   resumed : bool;
   trace : trace_point list;
   nodes : int;
+  simplex_iters : int;
   num_vars : int;
   num_constrs : int;
   elapsed : float;
@@ -367,6 +368,7 @@ let optimize ?(config = default_config) ?budget ?resume ?on_progress q =
     resumed = outcome.Solver.resumed;
     trace = List.map trace_of_progress bb.Branch_bound.o_trace;
     nodes = bb.Branch_bound.o_nodes;
+    simplex_iters = bb.Branch_bound.o_simplex_iters;
     num_vars = Problem.num_vars enc.Encoding.problem;
     num_constrs = Problem.num_constrs enc.Encoding.problem;
     elapsed = Milp.Budget.elapsed budget;

@@ -154,6 +154,7 @@ type result = {
   resumed : bool;  (** the solve continued from an on-disk checkpoint *)
   trace : trace_point list;  (** chronological *)
   nodes : int;
+  simplex_iters : int;  (** simplex iterations over every node LP of the final solve *)
   num_vars : int;
   num_constrs : int;
   elapsed : float;

@@ -63,6 +63,7 @@ type node = {
   n_depth : int;
   n_fixes : (int * [ `Lb | `Ub ] * float) list;
   n_warm : (int array * Simplex.vstat array) option;
+  n_parent : int;  (* the parent's [n_id], which keys its LP's factor; -1 at the root *)
 }
 
 (* Everything needed to continue the search in a fresh process. The heap
@@ -118,6 +119,9 @@ type search = {
      non-increasing, so a stale read only costs a wasted LP, never a
      wrong pruning decision. *)
   inc_published : float Atomic.t;
+  (* Factors of recently solved node LPs, for their children's warm
+     solves (see [node_lp]). *)
+  factors : (int * Simplex.factor) option Atomic.t array;
   mutable root_done : bool;  (* the root LP bound has been established *)
   mutable in_flight : float option;  (* bound of the node being processed *)
   mutable nodes : int;
@@ -273,27 +277,58 @@ let node_simplex_params s =
      mid-pivot, not just between nodes. *)
   { s.p.simplex with Simplex.budget = Some s.budget }
 
-let solve_node s ~warm ~lb ~ub =
-  let res = Simplex.solve ~params:(node_simplex_params s) ?warm s.sf ~lb ~ub in
+let solve_node s ~warm ?factor ~lb ~ub () =
+  let res = Simplex.solve ~params:(node_simplex_params s) ?warm ?factor s.sf ~lb ~ub in
   s.simplex_iters <- s.simplex_iters + res.Simplex.iters;
   res
+
+(* Factor hand-off. An optimal node LP ends on a fresh factorization of
+   its final basis, which is exactly the warm basis of both children.
+   The last few such factors sit in a fixed table of [factor_slots]
+   slots, indexed by the solving node's [n_id] modulo the table size and
+   checked against the full key, so memory stays constant however large
+   the frontier grows; a child whose parent's slot was overwritten in
+   the meantime simply factorizes again. Slots are [Atomic]: a factor
+   published by one domain is read whole by another, and factors are
+   immutable. Since a factor is a pure function of the basis, a hit or a
+   miss gives the same pivots, so the table's contents (which depend on
+   speculation timing under [jobs > 1]) never change a result. The table
+   is not part of a snapshot: a resumed search starts with it empty. *)
+let factor_slots = 32
+
+let handed_factor s parent =
+  if parent < 0 then None
+  else
+    match Atomic.get s.factors.(parent land (factor_slots - 1)) with
+    | Some (key, f) when key = parent -> Some f
+    | _ -> None
+
+let publish_factor s id (res : Simplex.result) =
+  match res.Simplex.factor with
+  | Some f -> Atomic.set s.factors.(id land (factor_slots - 1)) (Some (id, f))
+  | None -> ()
 
 (* The full per-node LP work — bound materialization, the warm solve and
    the cold retry after a numeric failure — as a pure function of the
    node. It reads only state that is immutable once the search starts
-   ([sf], [p], root bounds, [started]), so worker domains can run it
-   speculatively; the iteration count is returned rather than
-   accumulated so accounting happens exactly once, at consumption, in
-   deterministic (serial) order. *)
+   ([sf], [p], root bounds, [started]) plus the factor table, which only
+   saves work, so worker domains can run it speculatively; the iteration
+   count is returned rather than accumulated so accounting happens
+   exactly once, at consumption, in deterministic (serial) order. *)
 let node_lp s node =
   let lb, ub = materialize_bounds s node.n_fixes in
   let params = node_simplex_params s in
-  let res = Simplex.solve ~params ?warm:node.n_warm s.sf ~lb ~ub in
-  match res.Simplex.status with
-  | Simplex.Numerical_failure | Simplex.Iteration_limit ->
-    let cold = Simplex.solve ~params s.sf ~lb ~ub in
-    (lb, ub, cold, res.Simplex.iters + cold.Simplex.iters)
-  | _ -> (lb, ub, res, res.Simplex.iters)
+  let factor = handed_factor s node.n_parent in
+  let res = Simplex.solve ~params ?warm:node.n_warm ?factor s.sf ~lb ~ub in
+  let res, iters =
+    match res.Simplex.status with
+    | Simplex.Numerical_failure | Simplex.Iteration_limit ->
+      let cold = Simplex.solve ~params s.sf ~lb ~ub in
+      (cold, res.Simplex.iters + cold.Simplex.iters)
+    | _ -> (res, res.Simplex.iters)
+  in
+  publish_factor s node.n_id res;
+  (lb, ub, res, iters)
 
 let is_integral s x =
   let ok = ref true in
@@ -330,7 +365,9 @@ let dive s node res0 =
         if lb.(j) > ub.(j) then ()
         else begin
           let res' =
-            solve_node s ~warm:(Some (res.Simplex.basis, res.Simplex.vstatus)) ~lb ~ub
+            solve_node s
+              ~warm:(Some (res.Simplex.basis, res.Simplex.vstatus))
+              ?factor:res.Simplex.factor ~lb ~ub ()
           in
           match res'.Simplex.status with
           | Simplex.Optimal ->
@@ -490,6 +527,7 @@ let process_node s ~lp ~offer node =
               n_depth = node.n_depth + 1;
               n_fixes = fixes;
               n_warm = warm;
+              n_parent = node.n_id;
             }
           in
           let down = child ((j, `Ub, Float.of_int (int_of_float (floor xj))) :: node.n_fixes) in
@@ -647,6 +685,7 @@ let solve ?(params = default_params) ?budget ?checkpoint ?certify_against ?mip_s
       inc_published =
         Atomic.make
           (match resume with Some { sn_incumbent = Some (v, _); _ } -> v | _ -> infinity);
+      factors = Array.init factor_slots (fun _ -> Atomic.make None);
       root_done = (match resume with Some sn -> sn.sn_root_done | None -> false);
       in_flight = None;
       nodes = (match resume with Some sn -> sn.sn_nodes | None -> 0);
@@ -701,7 +740,7 @@ let solve ?(params = default_params) ?budget ?checkpoint ?certify_against ?mip_s
       | Certify.Rejected msg ->
         Logs.warn (fun m -> m "MIP start (%s) rejected: %s" ws_source msg)));
     (* Root relaxation. *)
-    let res = solve_node s ~warm:None ~lb:root_lb ~ub:root_ub in
+    let res = solve_node s ~warm:None ~lb:root_lb ~ub:root_ub () in
     match res.Simplex.status with
     | Simplex.Infeasible ->
       s.root_done <- true;
@@ -717,7 +756,14 @@ let solve ?(params = default_params) ?budget ?checkpoint ?certify_against ?mip_s
     | Simplex.Optimal ->
       s.root_done <- true;
       let root =
-        { n_id = 0; n_bound = res.Simplex.objective; n_depth = 0; n_fixes = []; n_warm = None }
+        {
+          n_id = 0;
+          n_bound = res.Simplex.objective;
+          n_depth = 0;
+          n_fixes = [];
+          n_warm = None;
+          n_parent = -1;
+        }
       in
       if is_integral s res.Simplex.x then begin
         ignore (try_incumbent s res.Simplex.x res.Simplex.objective);

@@ -30,8 +30,9 @@ type plan = {
   (** probability of vetoing an otherwise acceptable simplex pivot,
       forcing refactorization churn and eventual numerical failure *)
   f_refactor_fail_every : int;
-  (** fail every k-th basis factorization with {!Sparse_lu.Singular};
-      [0] disables *)
+  (** fail every k-th basis factorization with {!Sparse_lu.Singular}
+      (reused factors do not count, see {!refactor_fails}); [0]
+      disables *)
   f_perturb : float;
   (** relative magnitude of noise injected into ftran'd entering
       columns — simulates numeric drift of the basis inverse; [0.]
@@ -122,7 +123,14 @@ val installed : unit -> plan option
     returning the benign answer when no plan is installed. *)
 
 val pivot_rejected : unit -> bool
+
 val refactor_fails : unit -> bool
+(** Polled by {!Sparse_lu.factorize} at the start of every real basis
+    factorization. A warm solve handed its parent's factor
+    ({!Simplex.result}[.factor]) skips its initial factorization, so
+    that reuse neither polls nor counts toward [f_refactor_fail_every]:
+    the fault lands on the k-th factorization actually computed. *)
+
 val perturb_vector : float array -> unit
 val early_timeout : unit -> bool
 val corrupt_objective : float -> float

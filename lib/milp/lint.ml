@@ -327,15 +327,12 @@ let check_coeff_range ctx rows stdform =
   | Some st ->
     let nrows = Array.length rows in
     let lo = Array.make nrows infinity and hi = Array.make nrows 0. in
-    for j = 0 to st.Stdform.nstruct - 1 do
-      Array.iter
-        (fun (i, a) ->
-          let v = abs_float a in
-          if v > 0. then begin
-            if v < lo.(i) then lo.(i) <- v;
-            if v > hi.(i) then hi.(i) <- v
-          end)
-        st.Stdform.cols.(j)
+    for k = 0 to st.Stdform.col_start.(st.Stdform.nstruct) - 1 do
+      let i = st.Stdform.row_idx.(k) and v = abs_float st.Stdform.value.(k) in
+      if v > 0. then begin
+        if v < lo.(i) then lo.(i) <- v;
+        if v > hi.(i) then hi.(i) <- v
+      end
     done;
     Array.iteri
       (fun i (name, terms, _, _) ->

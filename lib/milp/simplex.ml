@@ -31,6 +31,19 @@ let default_params =
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit | Numerical_failure
 
+(* Basis factorization backends share one interface: [solve] maps a
+   row-indexed right-hand side to position-indexed values, and
+   [solve_transposed] the reverse (see Sparse_lu). *)
+type lu = Dense_f of Dense.lu | Sparse_f of Sparse_lu.t
+
+(* A sparse factorization (an owned {!Sparse_lu.copy}) over the matrix
+   of [f_sf]. Immutable, so it can be handed to another solve, on any
+   domain, that starts from the same basis of the same matrix. Dense
+   factors are not handed on: the dense backend is the reference and
+   last-resort path, and its O(m^2) factors would make a table of them
+   large. *)
+type factor = { f_sf : Stdform.t; f_lu : Sparse_lu.t }
+
 type result = {
   status : status;
   objective : float;
@@ -38,28 +51,86 @@ type result = {
   iters : int;
   basis : int array;
   vstatus : vstat array;
+  factor : factor option;
 }
-
-(* Product-form eta update: basis column [row] was replaced. The eta
-   vector is stored sparse (nonzeros of the ftran'd entering column) with
-   the pivot element kept separately; typical etas touch a small fraction
-   of the rows, which keeps ftran/btran cheap between refactorizations. *)
-type eta = { e_row : int; e_pivot : float; e_nz : (int * float) array }
-
-(* Basis factorization backends share one interface: [solve] maps a
-   row-indexed right-hand side to position-indexed values, and
-   [solve_transposed] the reverse (see Sparse_lu). *)
-type factor = Dense_f of Dense.lu | Sparse_f of Sparse_lu.t
 
 exception Factor_singular of int
 
-let factor_solve f y =
-  match f with Dense_f lu -> Dense.lu_solve lu y | Sparse_f lu -> Sparse_lu.solve lu y
+(* Per-domain scratch, reused by every solve that runs on the domain:
+   bounds, basic values and Devex weights ([lb], [ub], [devex] sized to
+   the column count, [xb] to the row count), the dual, entering-column
+   and pivot-row vectors, the LU solves' work vector, the factorization
+   scratch (which also stores the current sparse factor), and the eta
+   file. The eta file is product-form updates in application order: eta
+   [e] replaced basis row [e_row.(e)] with pivot [e_pivot.(e)], and its
+   other nonzeros are entries [e_start.(e)] to [e_start.(e+1) - 1] of
+   [e_idx] / [e_val], in descending row order. Nothing here outlives the
+   solve that fills it: results copy out. *)
+type work = {
+  mutable busy : bool;
+  mutable lb : float array;
+  mutable ub : float array;
+  mutable devex : float array;
+  mutable xb : float array;
+  mutable y : float array;
+  mutable w : float array;
+  mutable rho : float array;
+  mutable lu_work : float array;
+  cell : float array; (* [0]: row-candidate ratio, [1]: ratio-test step *)
+  lu_scratch : Sparse_lu.scratch;
+  mutable e_row : int array;
+  mutable e_pivot : float array;
+  mutable e_start : int array;
+  mutable e_idx : int array;
+  mutable e_val : float array;
+}
 
-let factor_solve_transposed f y =
-  match f with
-  | Dense_f lu -> Dense.lu_solve_transposed lu y
-  | Sparse_f lu -> Sparse_lu.solve_transposed lu y
+let new_work () =
+  {
+    busy = false;
+    lb = [||];
+    ub = [||];
+    devex = [||];
+    xb = [||];
+    y = [||];
+    w = [||];
+    rho = [||];
+    lu_work = [||];
+    cell = Array.make 2 0.;
+    lu_scratch = Sparse_lu.scratch ();
+    e_row = [||];
+    e_pivot = [||];
+    e_start = [| 0 |];
+    e_idx = [||];
+    e_val = [||];
+  }
+
+let work_key = Domain.DLS.new_key new_work
+
+(* The domain's workspace sized for [sf], or a private one if a solve is
+   already running on this domain. *)
+let acquire_work sf =
+  let ws =
+    let ws = Domain.DLS.get work_key in
+    if ws.busy then new_work () else ws
+  in
+  ws.busy <- true;
+  let sized a n = if Array.length a = n then a else Array.make n 0. in
+  let m = sf.Stdform.nrows and n = sf.Stdform.ncols in
+  ws.lb <- sized ws.lb n;
+  ws.ub <- sized ws.ub n;
+  ws.devex <- sized ws.devex n;
+  ws.xb <- sized ws.xb m;
+  ws.y <- sized ws.y m;
+  ws.w <- sized ws.w m;
+  ws.rho <- sized ws.rho m;
+  ws.lu_work <- sized ws.lu_work m;
+  ws
+
+(* How the ratio test ended: no blocking row (an unbounded ray), the
+   entering variable reaching its own opposite bound, or a leaving row
+   ([rt_row], landing on [rt_land]). The step is in [cell.(1)]. *)
+type block = No_block | Self_flip | Leaving
 
 type state = {
   sf : Stdform.t;
@@ -69,28 +140,42 @@ type state = {
   basis : int array; (* row -> variable *)
   stat : vstat array; (* variable -> status *)
   xb : float array; (* row -> value of basic variable *)
-  mutable factor : factor;
-  mutable etas : eta list; (* newest first; ftran reverses *)
+  mutable factor : lu;
   mutable n_etas : int;
   mutable iters : int;
   mutable degenerate_streak : int;
   mutable repaired : bool; (* a singular basis was replaced mid-phase *)
   devex : float array; (* Devex reference weights, per variable *)
+  ws : work;
+  mutable enter_up : bool; (* direction chosen by [choose_entering] *)
+  mutable rt_block : block;
+  mutable rt_row : int;
+  mutable rt_land : vstat;
 }
+
+(* Placeholder until the first factorization of a state. *)
+let no_lu = Dense_f (Dense.lu_factorize [||])
+
+(* [max a b] on floats, spelled out: Stdlib's polymorphic [max] boxes. *)
+let[@inline] fmax a b = if a >= b then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Basis factorization                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let build_basis_matrix st =
-  let m = st.sf.Stdform.nrows in
+  let sf = st.sf in
+  let m = sf.Stdform.nrows in
   let mat = Array.make_matrix m m 0. in
   for r = 0 to m - 1 do
-    Array.iter (fun (i, a) -> mat.(i).(r) <- a) st.sf.Stdform.cols.(st.basis.(r))
+    let j = st.basis.(r) in
+    for k = sf.Stdform.col_start.(j) to sf.Stdform.col_start.(j + 1) - 1 do
+      mat.(sf.Stdform.row_idx.(k)).(r) <- sf.Stdform.value.(k)
+    done
   done;
   mat
 
-let nb_value st j =
+let[@inline] nb_value st j =
   match st.stat.(j) with
   | SLower -> st.lb.(j)
   | SUpper -> st.ub.(j)
@@ -99,37 +184,50 @@ let nb_value st j =
 
 (* FTRAN: y := B^-1 y, using base LU then etas in application order. *)
 let ftran st y =
-  factor_solve st.factor y;
-  List.iter
-    (fun { e_row = r; e_pivot; e_nz } ->
-      let yr = y.(r) /. e_pivot in
-      if yr <> 0. then
-        Array.iter (fun (i, w) -> y.(i) <- y.(i) -. (w *. yr)) e_nz;
-      y.(r) <- yr)
-    (List.rev st.etas)
+  (match st.factor with
+  | Dense_f lu -> Dense.lu_solve lu y
+  | Sparse_f lu -> Sparse_lu.solve lu ~work:st.ws.lu_work y);
+  let ws = st.ws in
+  for e = 0 to st.n_etas - 1 do
+    let r = ws.e_row.(e) in
+    let yr = y.(r) /. ws.e_pivot.(e) in
+    if yr <> 0. then
+      for k = ws.e_start.(e) to ws.e_start.(e + 1) - 1 do
+        y.(ws.e_idx.(k)) <- y.(ws.e_idx.(k)) -. (ws.e_val.(k) *. yr)
+      done;
+    y.(r) <- yr
+  done
 
 (* BTRAN: y := B^-T y, etas in reverse application order then base LU. *)
 let btran st y =
-  List.iter
-    (fun { e_row = r; e_pivot; e_nz } ->
-      let acc = ref y.(r) in
-      Array.iter (fun (i, w) -> acc := !acc -. (w *. y.(i))) e_nz;
-      y.(r) <- !acc /. e_pivot)
-    st.etas;
-  factor_solve_transposed st.factor y
+  let ws = st.ws in
+  for e = st.n_etas - 1 downto 0 do
+    let r = ws.e_row.(e) in
+    let acc = ref y.(r) in
+    for k = ws.e_start.(e) to ws.e_start.(e + 1) - 1 do
+      acc := !acc -. (ws.e_val.(k) *. y.(ws.e_idx.(k)))
+    done;
+    y.(r) <- !acc /. ws.e_pivot.(e)
+  done;
+  match st.factor with
+  | Dense_f lu -> Dense.lu_solve_transposed lu y
+  | Sparse_f lu -> Sparse_lu.solve_transposed lu ~work:ws.lu_work y
 
 (* Recompute basic values from scratch: xb = B^-1 (b - N x_N). *)
 let recompute_xb st =
-  let m = st.sf.Stdform.nrows in
-  let r = Array.copy st.sf.Stdform.rhs in
-  for j = 0 to st.sf.Stdform.ncols - 1 do
+  let sf = st.sf in
+  let r = st.xb in
+  Array.blit sf.Stdform.rhs 0 r 0 sf.Stdform.nrows;
+  for j = 0 to sf.Stdform.ncols - 1 do
     if st.stat.(j) <> SBasic then begin
       let v = nb_value st j in
-      if v <> 0. then Array.iter (fun (i, a) -> r.(i) <- r.(i) -. (a *. v)) st.sf.Stdform.cols.(j)
+      if v <> 0. then
+        for k = sf.Stdform.col_start.(j) to sf.Stdform.col_start.(j + 1) - 1 do
+          r.(sf.Stdform.row_idx.(k)) <- r.(sf.Stdform.row_idx.(k)) -. (sf.Stdform.value.(k) *. v)
+        done
     end
   done;
-  ftran st r;
-  Array.blit r 0 st.xb 0 m
+  ftran st r
 
 let factorize_basis st =
   match st.p.backend with
@@ -138,8 +236,12 @@ let factorize_basis st =
     | lu -> Dense_f lu
     | exception Dense.Singular k -> raise (Factor_singular k))
   | Sparse_backend -> (
-    let columns j = st.sf.Stdform.cols.(j) in
-    match Sparse_lu.factorize ~dim:st.sf.Stdform.nrows ~columns st.basis with
+    let sf = st.sf in
+    match
+      Sparse_lu.factorize ~scratch:st.ws.lu_scratch ~dim:sf.Stdform.nrows
+        ~col_start:sf.Stdform.col_start ~row_idx:sf.Stdform.row_idx ~value:sf.Stdform.value
+        st.basis
+    with
     | lu -> Sparse_f lu
     | exception Sparse_lu.Singular k -> raise (Factor_singular k))
 
@@ -161,7 +263,6 @@ let reset_to_slack_basis st =
   st.repaired <- true
 
 let refactorize st =
-  st.etas <- [];
   st.n_etas <- 0;
   (match factorize_basis st with
   | f -> st.factor <- f
@@ -170,107 +271,172 @@ let refactorize st =
     st.factor <- factorize_basis st);
   recompute_xb st
 
+(* Append the eta of a pivot on row [r] with ftran'd entering column
+   [w]: its nonzeros off the pivot row, in descending row order. *)
 let push_eta st r w =
-  let nz = ref [] in
-  Array.iteri (fun i v -> if i <> r && abs_float v > 1e-13 then nz := (i, v) :: !nz) w;
-  st.etas <- { e_row = r; e_pivot = w.(r); e_nz = Array.of_list !nz } :: st.etas;
-  st.n_etas <- st.n_etas + 1;
+  let ws = st.ws in
+  let m = st.sf.Stdform.nrows in
+  let e = st.n_etas in
+  ws.e_row <- Vecbuf.reserve_ints ws.e_row ~used:e (e + 1);
+  ws.e_pivot <- Vecbuf.reserve_floats ws.e_pivot ~used:e (e + 1);
+  ws.e_start <- Vecbuf.reserve_ints ws.e_start ~used:(e + 1) (e + 2);
+  let base = ws.e_start.(e) in
+  ws.e_idx <- Vecbuf.reserve_ints ws.e_idx ~used:base (base + m);
+  ws.e_val <- Vecbuf.reserve_floats ws.e_val ~used:base (base + m);
+  let nz = ref base in
+  for i = m - 1 downto 0 do
+    let v = w.(i) in
+    if i <> r && abs_float v > 1e-13 then begin
+      ws.e_idx.(!nz) <- i;
+      ws.e_val.(!nz) <- v;
+      incr nz
+    end
+  done;
+  ws.e_row.(e) <- r;
+  ws.e_pivot.(e) <- w.(r);
+  ws.e_start.(e + 1) <- !nz;
+  st.n_etas <- e + 1;
   if st.n_etas >= st.p.refactor_every then refactorize st
+
+(* [w] := column [q] of the matrix, ftran'd. *)
+let entering_column st q =
+  let sf = st.sf in
+  let w = st.ws.w in
+  Array.fill w 0 sf.Stdform.nrows 0.;
+  for k = sf.Stdform.col_start.(q) to sf.Stdform.col_start.(q + 1) - 1 do
+    w.(sf.Stdform.row_idx.(k)) <- sf.Stdform.value.(k)
+  done;
+  ftran st w;
+  w
+
+(* [rho] := row [r] of B^-1. *)
+let pivot_row st r =
+  let rho = st.ws.rho in
+  Array.fill rho 0 st.sf.Stdform.nrows 0.;
+  rho.(r) <- 1.;
+  btran st rho;
+  rho
 
 (* ------------------------------------------------------------------ *)
 (* Pricing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Reduced cost of a nonbasic column given duals [y]. *)
-let reduced_cost st y cost_of j =
-  let acc = ref (cost_of j) in
-  Array.iter (fun (i, a) -> acc := !acc -. (a *. y.(i))) st.sf.Stdform.cols.(j);
-  !acc
-
 (* Entering-variable choice: Devex pricing (d_j^2 over the reference
    weight) with a Bland fallback (smallest index) against cycling. With
-   all weights at 1 this degenerates to Dantzig.
+   all weights at 1 this degenerates to Dantzig. Returns the entering
+   column, or -1 when no column prices out; the direction is left in
+   [enter_up].
 
    [obj_scale] participates in the dual tolerance: a reduced cost
    vanishingly small relative to the incumbent objective cannot produce a
    meaningful improvement, only an epsilon-crawl across a degenerate
    face. *)
-let choose_entering st y cost_of ~obj_scale ~bland =
-  let best = ref None in
-  let consider j dir d =
-    let score = d *. d /. st.devex.(j) in
-    match !best with
-    | None -> best := Some (j, dir, d, score)
-    | Some (_, _, _, s) -> if score > s then best := Some (j, dir, d, score)
-  in
-  (try
-     for j = 0 to st.sf.Stdform.ncols - 1 do
-       match st.stat.(j) with
-       | SBasic -> ()
-       | SLower | SUpper | SFree ->
-         let fixed = st.stat.(j) <> SFree && st.ub.(j) -. st.lb.(j) <= 0. in
-         if not fixed then begin
-           let d = reduced_cost st y cost_of j in
-           (* Relative dual tolerance: with objective coefficients spanning
-              many orders of magnitude, chasing absolutely-tiny reduced
-              costs on huge-cost columns churns forever for a relatively
-              meaningless improvement. *)
-           let tol = st.p.dual_tol *. (1. +. abs_float (cost_of j) +. (1e-4 *. obj_scale)) in
-           let dir =
-             match st.stat.(j) with
-             | SLower -> if d < -.tol then Some 1. else None
-             | SUpper -> if d > tol then Some (-1.) else None
-             | SFree ->
-               if d < -.tol then Some 1. else if d > tol then Some (-1.) else None
-             | SBasic -> None
-           in
-           match dir with
-           | None -> ()
-           | Some dir ->
-             if bland then begin
-               best := Some (j, dir, d, abs_float d);
-               raise Exit
-             end
-             else consider j dir d
-         end
-     done
-   with Exit -> ());
-  match !best with Some (j, dir, d, _) -> Some (j, dir, d) | None -> None
+let choose_entering st y ~phase1 ~obj_scale ~bland =
+  let sf = st.sf in
+  let col_start = sf.Stdform.col_start and row_idx = sf.Stdform.row_idx in
+  let value = sf.Stdform.value in
+  let best = ref (-1) and best_up = ref true and best_score = ref 0. in
+  (* Bland takes the first candidate; the rest of the scan is skipped. *)
+  let taken = ref false in
+  for jj = 0 to sf.Stdform.ncols - 1 do
+    let s = st.stat.(jj) in
+    if (not !taken) && s <> SBasic && not (s <> SFree && st.ub.(jj) -. st.lb.(jj) <= 0.) then begin
+      let cost = if phase1 then 0. else sf.Stdform.cost.(jj) in
+      let acc = ref cost in
+      for k = col_start.(jj) to col_start.(jj + 1) - 1 do
+        acc := !acc -. (value.(k) *. y.(row_idx.(k)))
+      done;
+      let d = !acc in
+      (* Relative dual tolerance: with objective coefficients spanning
+         many orders of magnitude, chasing absolutely-tiny reduced costs
+         on huge-cost columns churns forever for a relatively
+         meaningless improvement. *)
+      let tol = st.p.dual_tol *. (1. +. abs_float cost +. (1e-4 *. obj_scale)) in
+      (* 1: increase, -1: decrease, 0: does not price out. *)
+      let dir =
+        match s with
+        | SLower -> if d < -.tol then 1 else 0
+        | SUpper -> if d > tol then -1 else 0
+        | SFree -> if d < -.tol then 1 else if d > tol then -1 else 0
+        | SBasic -> 0
+      in
+      if dir <> 0 then
+        if bland then begin
+          best := jj;
+          best_up := dir > 0;
+          taken := true
+        end
+        else begin
+          let score = d *. d /. st.devex.(jj) in
+          if !best < 0 || score > !best_score then begin
+            best := jj;
+            best_up := dir > 0;
+            best_score := score
+          end
+        end
+    end
+  done;
+  st.enter_up <- !best_up;
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Ratio test (two-pass Harris)                                         *)
 (* ------------------------------------------------------------------ *)
 
-type block = Self_flip | Leaving of int * vstat (* row, bound the leaver lands on *)
-
-(* Per-row blocking candidate for a step of the entering variable: the
-   strict ratio at which basic row [i] reaches a bound. [delta] is the
-   rate of change of the basic value. Phase 1 treats basics outside their
-   bounds specially: an infeasible basic blocks when it reaches its
-   violated bound, while one moving deeper into infeasibility never
-   blocks (the phase-1 objective gradient accounts for it). *)
-let row_candidate st ~phase1 i delta =
+(* Per-row blocking candidate for a step of the entering variable in
+   direction [dir]: the strict ratio at which basic row [i] reaches a
+   bound, left in [cell.(0)], and the bound it lands on ([SBasic] when
+   the row does not block). The rate of change of the basic value is
+   [-dir * w.(i)]. Phase 1 treats basics outside their bounds
+   specially: an infeasible basic blocks when it reaches its violated
+   bound, while one moving deeper into infeasibility never blocks (the
+   phase-1 objective gradient accounts for it). *)
+let row_candidate st ~phase1 w dir i =
+  let delta = -.dir *. w.(i) in
   let bi = st.basis.(i) in
   let x = st.xb.(i) in
   let ftol = st.p.feas_tol in
+  let cell = st.ws.cell in
   if phase1 && x < st.lb.(bi) -. ftol then
-    if delta > 0. then Some ((st.lb.(bi) -. x) /. delta, SLower) else None
+    if delta > 0. then begin
+      cell.(0) <- (st.lb.(bi) -. x) /. delta;
+      SLower
+    end
+    else SBasic
   else if phase1 && x > st.ub.(bi) +. ftol then
-    if delta < 0. then Some ((st.ub.(bi) -. x) /. delta, SUpper) else None
+    if delta < 0. then begin
+      cell.(0) <- (st.ub.(bi) -. x) /. delta;
+      SUpper
+    end
+    else SBasic
   else if delta > 0. then
-    if st.ub.(bi) < infinity then Some ((st.ub.(bi) -. x) /. delta, SUpper) else None
-  else if st.lb.(bi) > neg_infinity then Some ((st.lb.(bi) -. x) /. delta, SLower)
-  else None
+    if st.ub.(bi) < infinity then begin
+      cell.(0) <- (st.ub.(bi) -. x) /. delta;
+      SUpper
+    end
+    else SBasic
+  else if st.lb.(bi) > neg_infinity then begin
+    cell.(0) <- (st.lb.(bi) -. x) /. delta;
+    SLower
+  end
+  else SBasic
+
+let block st kind ~row ~land_on step =
+  st.rt_block <- kind;
+  st.rt_row <- row;
+  st.rt_land <- land_on;
+  st.ws.cell.(1) <- step
 
 (* Harris two-pass ratio test. Pass 1 finds the smallest ratio with
    bounds relaxed by [feas_tol]; pass 2 picks, among rows whose strict
    ratio does not exceed that relaxed minimum, the one with the largest
    pivot magnitude — the standard cure for the tiny-pivot degeneracy that
-   otherwise collapses the basis conditioning. Returns the (clamped
-   non-negative) step and the blocking event. *)
+   otherwise collapses the basis conditioning. Leaves the (clamped
+   non-negative) step and the blocking event in the state. *)
 let ratio_test st ~phase1 ~bland w dir q =
   let m = st.sf.Stdform.nrows in
-  let ftol = st.p.feas_tol in
+  let ftol = st.p.feas_tol and pivot_tol = st.p.pivot_tol in
+  let cell = st.ws.cell in
   let self_range = st.ub.(q) -. st.lb.(q) in
   (* Pass 1: smallest ratio. Harris mode relaxes each bound by feas_tol
      so pass 2 can pick a large pivot among near-ties; Bland mode needs
@@ -278,80 +444,79 @@ let ratio_test st ~phase1 ~bland w dir q =
   let t_limit = ref infinity in
   for i = 0 to m - 1 do
     let delta = -.dir *. w.(i) in
-    if abs_float delta > st.p.pivot_tol then begin
-      match row_candidate st ~phase1 i delta with
-      | Some (t, _) ->
-        let tr = if bland then max 0. t else t +. (ftol /. abs_float delta) in
-        if tr < !t_limit then t_limit := tr
-      | None -> ()
+    if abs_float delta > pivot_tol && row_candidate st ~phase1 w dir i <> SBasic then begin
+      let t = cell.(0) in
+      let tr = if bland then fmax 0. t else t +. (ftol /. abs_float delta) in
+      if tr < !t_limit then t_limit := tr
     end
   done;
-  if !t_limit = infinity then begin
+  let t_limit = !t_limit in
+  if t_limit = infinity then begin
     (* Before declaring an unbounded ray, make sure no sub-threshold
        coefficient would eventually block: those rows are numerically
        unusable as pivots but they do bound the step. *)
-    if self_range < infinity then (self_range, Some Self_flip)
+    if self_range < infinity then block st Self_flip ~row:(-1) ~land_on:SBasic self_range
     else begin
       let truly_free = ref true in
       for i = 0 to m - 1 do
         let delta = -.dir *. w.(i) in
-        if abs_float delta > 1e-12 && abs_float delta <= st.p.pivot_tol then begin
-          match row_candidate st ~phase1 i delta with
-          | Some _ -> truly_free := false
-          | None -> ()
-        end
+        if abs_float delta > 1e-12 && abs_float delta <= pivot_tol
+           && row_candidate st ~phase1 w dir i <> SBasic
+        then truly_free := false
       done;
-      if !truly_free then (infinity, None)
-      else (* Treat as a blocked degenerate step nowhere: signal by NaN-free
-              sentinel — returning an infinite step with no block would be
-              read as unbounded, so flag with a zero self-flip on a fake
-              block is wrong too; use a tiny step on the largest
-              sub-threshold row instead. *)
+      if !truly_free then block st No_block ~row:(-1) ~land_on:SBasic infinity
+      else begin
+        (* A blocked step on the largest sub-threshold row, rather than
+           a false unbounded ray. *)
         let best = ref (-1) and mag = ref 0. in
         for i = 0 to m - 1 do
           let delta = -.dir *. w.(i) in
-          if abs_float delta > !mag && abs_float delta <= st.p.pivot_tol then begin
-            match row_candidate st ~phase1 i delta with
-            | Some _ ->
-              best := i;
-              mag := abs_float delta
-            | None -> ()
+          if abs_float delta > !mag && abs_float delta <= pivot_tol
+             && row_candidate st ~phase1 w dir i <> SBasic
+          then begin
+            best := i;
+            mag := abs_float delta
           end
         done;
-        (match row_candidate st ~phase1 !best (-.dir *. w.(!best)) with
-        | Some (t, land_on) -> (max 0. t, Some (Leaving (!best, land_on)))
-        | None -> (infinity, None))
+        match row_candidate st ~phase1 w dir !best with
+        | SBasic -> block st No_block ~row:(-1) ~land_on:SBasic infinity
+        | land_on -> block st Leaving ~row:!best ~land_on (fmax 0. cell.(0))
+      end
     end
   end
   else begin
     (* Pass 2: Harris picks the largest pivot within the relaxed window;
        Bland picks the smallest basis-variable index at the strict
        minimum (required by the anti-cycling theorem). *)
-    let chosen = ref None in
+    let chosen = ref (-1) and chosen_t = ref 0. and chosen_mag = ref 0. in
+    let chosen_land = ref SBasic in
     for i = 0 to m - 1 do
       let delta = -.dir *. w.(i) in
-      if abs_float delta > st.p.pivot_tol then begin
-        match row_candidate st ~phase1 i delta with
-        | Some (t, land_on) ->
-          if max 0. t <= !t_limit +. 1e-12 then begin
+      if abs_float delta > pivot_tol then begin
+        let land_on = row_candidate st ~phase1 w dir i in
+        if land_on <> SBasic then begin
+          let t = fmax 0. cell.(0) in
+          if t <= t_limit +. 1e-12 then begin
             let better =
-              match !chosen with
-              | None -> true
-              | Some (i', _, _, mag) ->
-                if bland then st.basis.(i) < st.basis.(i')
-                else abs_float w.(i) > mag
+              !chosen < 0
+              || (if bland then st.basis.(i) < st.basis.(!chosen)
+                  else abs_float w.(i) > !chosen_mag)
             in
-            if better then chosen := Some (i, max 0. t, land_on, abs_float w.(i))
+            if better then begin
+              chosen := i;
+              chosen_t := t;
+              chosen_land := land_on;
+              chosen_mag := abs_float w.(i)
+            end
           end
-        | None -> ()
+        end
       end
     done;
-    match !chosen with
-    | Some (i, t, land_on, _) ->
-      if self_range < t then (self_range, Some Self_flip)
-      else (t, Some (Leaving (i, land_on)))
-    | None ->
-      if self_range < infinity then (self_range, Some Self_flip) else (infinity, None)
+    if !chosen >= 0 then
+      if self_range < !chosen_t then block st Self_flip ~row:(-1) ~land_on:SBasic self_range
+      else block st Leaving ~row:!chosen ~land_on:!chosen_land !chosen_t
+    else if self_range < infinity then block st Self_flip ~row:(-1) ~land_on:SBasic self_range
+    else block st No_block ~row:(-1) ~land_on:SBasic infinity
   end
 
 (* ------------------------------------------------------------------ *)
@@ -359,22 +524,25 @@ let ratio_test st ~phase1 ~bland w dir q =
 (* ------------------------------------------------------------------ *)
 
 (* Apply a step of size [t] for entering variable [q] moving in [dir];
-   [w] is the ftran'd entering column. *)
-let apply_step st w dir q t block =
+   [w] is the ftran'd entering column and the blocking event is the
+   ratio test's. *)
+let apply_step st w dir q t =
   let m = st.sf.Stdform.nrows in
   if t > 0. then
     for i = 0 to m - 1 do
       st.xb.(i) <- st.xb.(i) -. (dir *. t *. w.(i))
     done;
-  match block with
+  match st.rt_block with
+  | No_block -> ()
   | Self_flip ->
     st.stat.(q) <- (match st.stat.(q) with SLower -> SUpper | SUpper -> SLower | s -> s);
     st.degenerate_streak <- 0
-  | Leaving (r, land_on) ->
+  | Leaving ->
+    let r = st.rt_row in
     let leaving = st.basis.(r) in
     let entering_value = nb_value st q +. (dir *. t) in
     st.stat.(leaving) <-
-      (match land_on with SLower when st.lb.(leaving) = neg_infinity -> SFree | s -> s);
+      (match st.rt_land with SLower when st.lb.(leaving) = neg_infinity -> SFree | s -> s);
     st.basis.(r) <- q;
     st.stat.(q) <- SBasic;
     st.xb.(r) <- entering_value;
@@ -395,8 +563,8 @@ let max_violation st =
   for i = 0 to m - 1 do
     let bi = st.basis.(i) in
     let x = st.xb.(i) in
-    if x < st.lb.(bi) then acc := max !acc (st.lb.(bi) -. x)
-    else if x > st.ub.(bi) then acc := max !acc (x -. st.ub.(bi))
+    if x < st.lb.(bi) then acc := fmax !acc (st.lb.(bi) -. x)
+    else if x > st.ub.(bi) then acc := fmax !acc (x -. st.ub.(bi))
   done;
   !acc
 
@@ -404,18 +572,20 @@ let max_violation st =
    infeasibility sum). *)
 let phase1_duals st =
   let m = st.sf.Stdform.nrows in
-  let y = Array.make m 0. in
+  let y = st.ws.y in
   for i = 0 to m - 1 do
     let bi = st.basis.(i) in
-    if st.xb.(i) < st.lb.(bi) -. st.p.feas_tol then y.(i) <- -1.
-    else if st.xb.(i) > st.ub.(bi) +. st.p.feas_tol then y.(i) <- 1.
+    y.(i) <-
+      (if st.xb.(i) < st.lb.(bi) -. st.p.feas_tol then -1.
+       else if st.xb.(i) > st.ub.(bi) +. st.p.feas_tol then 1.
+       else 0.)
   done;
   btran st y;
   y
 
 let phase2_duals st =
   let m = st.sf.Stdform.nrows in
-  let y = Array.make m 0. in
+  let y = st.ws.y in
   for i = 0 to m - 1 do
     y.(i) <- st.sf.Stdform.cost.(st.basis.(i))
   done;
@@ -441,25 +611,27 @@ let reset_devex st =
    pivot row's influence and the leaving variable gets the reference
    weight of the entering one. One btran + one pass over the matrix. *)
 let update_devex st w r q =
-  let m = st.sf.Stdform.nrows in
+  let sf = st.sf in
+  let col_start = sf.Stdform.col_start and row_idx = sf.Stdform.row_idx in
+  let value = sf.Stdform.value in
   let alpha_q = w.(r) in
   if abs_float alpha_q > 1e-12 then begin
-    let rho = Array.make m 0. in
-    rho.(r) <- 1.;
-    btran st rho;
-    let wq = max st.devex.(q) 1. in
+    let rho = pivot_row st r in
+    let wq = fmax st.devex.(q) 1. in
     let scale = wq /. (alpha_q *. alpha_q) in
-    for j = 0 to st.sf.Stdform.ncols - 1 do
+    for j = 0 to sf.Stdform.ncols - 1 do
       if j <> q && st.stat.(j) <> SBasic then begin
         let alpha = ref 0. in
-        Array.iter (fun (i, a) -> alpha := !alpha +. (a *. rho.(i))) st.sf.Stdform.cols.(j);
+        for k = col_start.(j) to col_start.(j + 1) - 1 do
+          alpha := !alpha +. (value.(k) *. rho.(row_idx.(k)))
+        done;
         if abs_float !alpha > 1e-12 then begin
           let cand = !alpha *. !alpha *. scale in
           if cand > st.devex.(j) then st.devex.(j) <- cand
         end
       end
     done;
-    st.devex.(st.basis.(r)) <- max scale 1.
+    st.devex.(st.basis.(r)) <- fmax scale 1.
   end
 
 (* A pivot is numerically acceptable when it is not minuscule relative to
@@ -467,8 +639,11 @@ let update_devex st w r q =
    pivots drives the basis determinant toward zero within a handful of
    iterations on degenerate encodings. *)
 let pivot_acceptable st w r =
-  let wmax = Array.fold_left (fun acc v -> max acc (abs_float v)) 0. w in
-  abs_float w.(r) >= max (10. *. st.p.pivot_tol) (1e-5 *. wmax)
+  let wmax = ref 0. in
+  for i = 0 to Array.length w - 1 do
+    wmax := fmax !wmax (abs_float w.(i))
+  done;
+  abs_float w.(r) >= fmax (10. *. st.p.pivot_tol) (1e-5 *. !wmax)
   && not (Faults.pivot_rejected ())
 
 (* One simplex phase. [phase1] selects the dynamic infeasibility costs
@@ -479,7 +654,7 @@ let pivot_acceptable st w r =
    are active ends the phase *without* an optimality/infeasibility claim. *)
 let run_phase st ~phase1 =
   let limit = max_iters st in
-  let cost_of j = if phase1 then 0. else st.sf.Stdform.cost.(j) in
+  let sf = st.sf in
   reset_devex st;
   let rec loop () =
     if phase1 && max_violation st <= st.p.feas_tol then Phase_done
@@ -494,52 +669,51 @@ let run_phase st ~phase1 =
         if phase1 then 0.
         else begin
           let acc = ref 0. in
-          for i = 0 to st.sf.Stdform.nrows - 1 do
-            acc := !acc +. (st.sf.Stdform.cost.(st.basis.(i)) *. st.xb.(i))
+          for i = 0 to sf.Stdform.nrows - 1 do
+            acc := !acc +. (sf.Stdform.cost.(st.basis.(i)) *. st.xb.(i))
           done;
-          for j = 0 to st.sf.Stdform.ncols - 1 do
-            if st.stat.(j) <> SBasic && st.sf.Stdform.cost.(j) <> 0. then
-              acc := !acc +. (st.sf.Stdform.cost.(j) *. nb_value st j)
+          for j = 0 to sf.Stdform.ncols - 1 do
+            if st.stat.(j) <> SBasic && sf.Stdform.cost.(j) <> 0. then
+              acc := !acc +. (sf.Stdform.cost.(j) *. nb_value st j)
           done;
           abs_float !acc
         end
       in
-      match choose_entering st y cost_of ~obj_scale ~bland with
-      | None -> if phase1 then Phase_infeasible else Phase_done
-      | Some (q, dir, _) -> (
-        let w = Array.make st.sf.Stdform.nrows 0. in
-        Array.iter (fun (i, a) -> w.(i) <- a) st.sf.Stdform.cols.(q);
-        ftran st w;
+      let q = choose_entering st y ~phase1 ~obj_scale ~bland in
+      if q < 0 then (if phase1 then Phase_infeasible else Phase_done)
+      else begin
+        let dir = if st.enter_up then 1. else -1. in
+        let w = entering_column st q in
         Faults.perturb_vector w;
-        let t, block = ratio_test st ~phase1 ~bland w dir q in
-        match block with
-        | None ->
+        ratio_test st ~phase1 ~bland w dir q;
+        let t = st.ws.cell.(1) in
+        match st.rt_block with
+        | No_block ->
           (* Phase 1's objective is bounded below, so an unblocked
              improving ray there signals numerical trouble. *)
           if phase1 then Phase_infeasible else Phase_unbounded
-        | Some (Leaving (r, _)) when st.n_etas >= 8 && not (pivot_acceptable st w r) ->
+        | Leaving when st.n_etas >= 8 && not (pivot_acceptable st w st.rt_row) ->
           (* Recompute with fresh numerics and retry this iteration; if
              the small pivot is genuine, the retry accepts it (equilibration
              keeps such pivots rare, and the repair path catches the
              conditioning fallout). *)
           refactorize st;
           loop ()
-        | Some b ->
+        | (Self_flip | Leaving) as b ->
           if t = infinity then (if phase1 then Phase_infeasible else Phase_unbounded)
           else begin
-            (match b with
-            | Leaving (r, _) ->
-              update_devex st w r q;
+            if b = Leaving then begin
+              update_devex st w st.rt_row q;
               (* Runaway weights mean the reference framework is stale. *)
               if st.devex.(q) > 1e8 then reset_devex st
-            | Self_flip -> ());
-            apply_step st w dir q t b;
+            end;
+            apply_step st w dir q t;
             loop ()
-          end)
+          end
+      end
     end
   in
   loop ()
-
 
 (* ------------------------------------------------------------------ *)
 (* Dual simplex                                                         *)
@@ -557,7 +731,10 @@ let run_phase st ~phase1 =
    [Phase_iters] when limits or numerical trouble suggest falling back to
    the primal algorithm. *)
 let run_dual st =
-  let m = st.sf.Stdform.nrows in
+  let sf = st.sf in
+  let col_start = sf.Stdform.col_start and row_idx = sf.Stdform.row_idx in
+  let value = sf.Stdform.value in
+  let m = sf.Stdform.nrows in
   let limit = max_iters st in
   let rec loop () =
     if st.iters >= limit || out_of_time st then Phase_iters
@@ -582,18 +759,18 @@ let run_dual st =
         st.iters <- st.iters + 1;
         let r = !leave in
         (* Pivot row alphas and current duals. *)
-        let rho = Array.make m 0. in
-        rho.(r) <- 1.;
-        btran st rho;
+        let rho = pivot_row st r in
         let y = phase2_duals st in
         (* Entering: among nonbasics able to push the leaver toward its
            violated bound, minimize |d_j / alpha_j| (dual ratio), prefer
            big pivots within a relative window. *)
-        let best = ref None in
-        for j = 0 to st.sf.Stdform.ncols - 1 do
+        let best = ref (-1) and best_ratio = ref 0. and best_alpha = ref 0. in
+        for j = 0 to sf.Stdform.ncols - 1 do
           if st.stat.(j) <> SBasic && st.ub.(j) -. st.lb.(j) > 0. then begin
             let alpha = ref 0. in
-            Array.iter (fun (i, a) -> alpha := !alpha +. (a *. rho.(i))) st.sf.Stdform.cols.(j);
+            for k = col_start.(j) to col_start.(j + 1) - 1 do
+              alpha := !alpha +. (value.(k) *. rho.(row_idx.(k)))
+            done;
             let alpha = !alpha in
             if abs_float alpha > st.p.pivot_tol then begin
               (* x_Br changes by -alpha * t when x_j moves by +t. Moving
@@ -606,29 +783,33 @@ let run_dual st =
                 else (st.stat.(j) <> SUpper && alpha > 0.) || (st.stat.(j) <> SLower && alpha < 0.)
               in
               if eligible then begin
-                let d = reduced_cost st y (fun j -> st.sf.Stdform.cost.(j)) j in
-                let ratio = abs_float d /. abs_float alpha in
+                let d = ref sf.Stdform.cost.(j) in
+                for k = col_start.(j) to col_start.(j + 1) - 1 do
+                  d := !d -. (value.(k) *. y.(row_idx.(k)))
+                done;
+                let ratio = abs_float !d /. abs_float alpha in
+                let br = !best_ratio in
                 let better =
-                  match !best with
-                  | None -> true
-                  | Some (_, br, ba) ->
-                    ratio < br -. 1e-12
-                    || (ratio <= br +. (1e-7 *. br) +. 1e-12 && abs_float alpha > ba)
+                  !best < 0
+                  || ratio < br -. 1e-12
+                  || (ratio <= br +. (1e-7 *. br) +. 1e-12 && abs_float alpha > !best_alpha)
                 in
-                if better then best := Some (j, ratio, abs_float alpha)
+                if better then begin
+                  best := j;
+                  best_ratio := ratio;
+                  best_alpha := abs_float alpha
+                end
               end
             end
           end
         done;
-        match !best with
-        | None ->
+        if !best < 0 then
           (* No way to repair the violated row: primal infeasible. *)
           Phase_infeasible
-        | Some (q, _, _) ->
+        else begin
+          let q = !best in
           (* Primal step: bring the leaver exactly to its violated bound. *)
-          let w = Array.make m 0. in
-          Array.iter (fun (i, a) -> w.(i) <- a) st.sf.Stdform.cols.(q);
-          ftran st w;
+          let w = entering_column st q in
           if abs_float w.(r) <= st.p.pivot_tol then Phase_iters
           else begin
             let bi = st.basis.(r) in
@@ -639,10 +820,11 @@ let run_dual st =
                dir * |t| with dir = sign t. *)
             let dir = if t >= 0. then 1. else -1. in
             let step = abs_float t in
-            let land_on = if !below then SLower else SUpper in
-            apply_step st w dir q step (Leaving (r, land_on));
+            block st Leaving ~row:r ~land_on:(if !below then SLower else SUpper) step;
+            apply_step st w dir q step;
             loop ()
           end
+        end
       end
     end
   in
@@ -676,6 +858,14 @@ let extract st status =
     iters = st.iters;
     basis = Array.copy st.basis;
     vstatus = Array.copy st.stat;
+    (* With an empty eta file the current factorization is exactly the
+       basis's, ready for a warm re-solve to reuse; it lives in the
+       workspace, so the result gets its own copy. *)
+    factor =
+      (match st.factor with
+      | Sparse_f lu when status = Optimal && st.n_etas = 0 ->
+        Some { f_sf = st.sf; f_lu = Sparse_lu.copy lu }
+      | Sparse_f _ | Dense_f _ -> None);
   }
 
 let cold_start sf lb ub =
@@ -699,10 +889,22 @@ let clamp_basics st =
       st.xb.(i) <- st.ub.(bi)
   done
 
-let solve ?(params = default_params) ?warm sf ~lb ~ub =
+(* The handed-down factor, when it factorizes exactly the warm basis of
+   this matrix and the solve uses the sparse backend. *)
+let reusable_factor params sf warm factor =
+  match (warm, factor) with
+  | Some (b, _), Some f
+    when params.backend = Sparse_backend && f.f_sf == sf && Sparse_lu.factorizes f.f_lu b ->
+    Some (Sparse_f f.f_lu)
+  | _ -> None
+
+let solve_in (ws : work) params warm factor sf ~lb:user_lb ~ub:user_ub =
   (* Map user-space bounds into the solver's scaled space (x' = x / c). *)
-  let lb = Array.mapi (fun j v -> v /. sf.Stdform.col_scale.(j)) lb in
-  let ub = Array.mapi (fun j v -> v /. sf.Stdform.col_scale.(j)) ub in
+  let lb = ws.lb and ub = ws.ub in
+  for j = 0 to sf.Stdform.ncols - 1 do
+    lb.(j) <- user_lb.(j) /. sf.Stdform.col_scale.(j);
+    ub.(j) <- user_ub.(j) /. sf.Stdform.col_scale.(j)
+  done;
   (* Anti-degeneracy: relax every finite bound outward by a tiny,
      deterministic, per-variable amount. Ratios in the ratio test become
      distinct, which kills the stalling on massively degenerate
@@ -747,7 +949,7 @@ let solve ?(params = default_params) ?warm sf ~lb ~ub =
     | SFree when ub.(j) < infinity -> stat.(j) <- SUpper
     | _ -> ()
   done;
-  let make_state basis stat =
+  let make_state basis stat lu =
     let st =
       {
         sf;
@@ -756,26 +958,31 @@ let solve ?(params = default_params) ?warm sf ~lb ~ub =
         ub;
         basis;
         stat;
-        xb = Array.make sf.Stdform.nrows 0.;
-        factor = Dense_f (Dense.lu_factorize [||]);
-        etas = [];
+        xb = ws.xb;
+        factor = no_lu;
         n_etas = 0;
         iters = 0;
         degenerate_streak = 0;
         repaired = false;
-        devex = Array.make sf.Stdform.ncols 1.;
+        devex = ws.devex;
+        ws;
+        enter_up = true;
+        rt_block = No_block;
+        rt_row = -1;
+        rt_land = SBasic;
       }
     in
-    st.factor <- factorize_basis st;
+    Array.fill st.devex 0 sf.Stdform.ncols 1.;
+    st.factor <- (match lu with Some lu -> lu | None -> factorize_basis st);
     recompute_xb st;
     st
   in
   let st =
-    match make_state basis stat with
+    match make_state basis stat (reusable_factor params sf warm factor) with
     | st -> st
     | exception Factor_singular _ ->
       let basis, stat = cold_start sf lb ub in
-      make_state basis stat
+      make_state basis stat None
   in
   (* Warm bases from a parent node are dual feasible after a bound
      change; try the dual simplex first and fall through to the primal
@@ -845,19 +1052,32 @@ let solve ?(params = default_params) ?warm sf ~lb ~ub =
   in
   drive 4
 
+let solve ?(params = default_params) ?warm ?factor sf ~lb ~ub =
+  let ws = acquire_work sf in
+  match solve_in ws params warm factor sf ~lb ~ub with
+  | r ->
+    ws.busy <- false;
+    r
+  | exception e ->
+    ws.busy <- false;
+    raise e
+
 let tableau_rows sf (res : result) positions =
   let m = sf.Stdform.nrows in
   List.iter (fun r -> if r < 0 || r >= m then invalid_arg "Simplex.tableau_rows") positions;
   (* Rebuild the factorization for the final basis once for the batch. *)
-  let columns j = sf.Stdform.cols.(j) in
-  match Sparse_lu.factorize ~dim:m ~columns res.basis with
+  match
+    Sparse_lu.factorize ~dim:m ~col_start:sf.Stdform.col_start ~row_idx:sf.Stdform.row_idx
+      ~value:sf.Stdform.value res.basis
+  with
   | exception Sparse_lu.Singular _ -> []
   | factor ->
+    let work = Array.make m 0. in
     List.map
       (fun r ->
         let e = Array.make m 0. in
         e.(r) <- 1.;
-        Sparse_lu.solve_transposed factor e;
+        Sparse_lu.solve_transposed factor ~work e;
         (* Row of B^-1 A in scaled space, then unscaled: multiplying the
            row by the basic column's scale and dividing each coefficient
            by its own column scale restores user-space semantics
@@ -866,7 +1086,9 @@ let tableau_rows sf (res : result) positions =
         let row = Array.make sf.Stdform.ncols 0. in
         for j = 0 to sf.Stdform.ncols - 1 do
           let acc = ref 0. in
-          Array.iter (fun (i, a) -> acc := !acc +. (a *. e.(i))) sf.Stdform.cols.(j);
+          for k = sf.Stdform.col_start.(j) to sf.Stdform.col_start.(j + 1) - 1 do
+            acc := !acc +. (sf.Stdform.value.(k) *. e.(sf.Stdform.row_idx.(k)))
+          done;
           row.(j) <- !acc *. c_basic /. sf.Stdform.col_scale.(j)
         done;
         (r, row, res.x.(res.basis.(r))))

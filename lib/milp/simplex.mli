@@ -4,11 +4,17 @@
     {!Stdform.t} layout, with per-call bound overrides so branch & bound
     can tighten variable bounds without rebuilding the matrix.
 
-    The basis inverse is kept as a dense LU factorization plus a
-    product-form eta file, refactorized periodically. Phase 1 drives the
-    sum of primal infeasibilities of basic variables to zero starting from
-    the all-logical basis (or a caller-provided warm basis); phase 2 is
-    textbook Dantzig pricing with a Bland fallback against cycling. *)
+    The basis inverse is kept as an LU factorization (sparse by default,
+    {!Sparse_lu}; dense as the reference backend) plus a product-form
+    eta file, refactorized periodically. Phase 1 drives the sum of
+    primal infeasibilities of basic variables to zero starting from the
+    all-logical basis (or a caller-provided warm basis); pricing is
+    Devex with a Bland fallback against cycling, and the ratio test is
+    a two-pass Harris test.
+
+    The iteration loop allocates no vectors: they, the eta file and the
+    factorization scratch live in a workspace owned by the calling
+    domain and reused by every solve that runs there. *)
 
 type vstat =
   | SBasic
@@ -24,7 +30,7 @@ type params = {
   feas_tol : float;  (** primal feasibility tolerance (default 1e-7) *)
   dual_tol : float;  (** reduced-cost tolerance (default 1e-9) *)
   pivot_tol : float;  (** smallest acceptable pivot magnitude (default 1e-8) *)
-  max_iters : int;  (** 0 means automatic: [5000 + 50 * nrows] *)
+  max_iters : int;  (** 0 means automatic: [20000 + 100 * nrows] *)
   refactor_every : int;  (** eta-file length triggering refactorization *)
   backend : basis_backend;
   budget : Budget.t option;
@@ -51,6 +57,10 @@ val default_params : params
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit | Numerical_failure
 
+type factor
+(** An immutable sparse factorization of one basis of one {!Stdform.t}.
+    It may be shared read-only between domains. *)
+
 type result = {
   status : status;
   objective : float;  (** [c.x] of the returned point (minimization sense) *)
@@ -58,11 +68,17 @@ type result = {
   iters : int;
   basis : int array;  (** basic variable per row, for warm starts *)
   vstatus : vstat array;  (** per-variable status, for warm starts *)
+  factor : factor option;
+  (** the factorization of [basis], on an [Optimal] result of the
+      sparse backend whose eta file is empty (the usual case: optimality
+      is confirmed on a fresh factorization); pass it with [basis] as
+      [~factor] to skip the warm solve's initial factorization *)
 }
 
 val solve :
   ?params:params ->
   ?warm:int array * vstat array ->
+  ?factor:factor ->
   Stdform.t ->
   lb:float array ->
   ub:float array ->
@@ -70,7 +86,10 @@ val solve :
 (** [solve sf ~lb ~ub] solves with the given bounds (length [ncols];
     logical bounds must match [sf]'s constraint senses). The arrays are
     not mutated. A singular warm basis silently falls back to the cold
-    all-logical start. *)
+    all-logical start. [factor] is used only when it factorizes exactly
+    the warm basis of [sf] and [params] select the sparse backend, and
+    is otherwise ignored; since a factorization is a pure function of
+    the basis, the result is the same with or without it. *)
 
 val tableau_rows : Stdform.t -> result -> int list -> (int * float array * float) list
 (** [tableau_rows sf res positions] recomputes, from the basis returned in

@@ -60,8 +60,9 @@ let infeasible_result () =
    version of this code — is rejected at load, not unmarshalled. v2:
    Problem.t grew a metadata field, changing the Marshal layout of the
    persisted reduced problem. v3: the snapshot carries the seeded
-   incumbent's provenance. *)
-let checkpoint_tag problem = "bb-snapshot-v3:" ^ Checkpoint.problem_digest problem
+   incumbent's provenance. v4: nodes carry their parent's sequence
+   number. *)
+let checkpoint_tag problem = "bb-snapshot-v4:" ^ Checkpoint.problem_digest problem
 
 (* The persisted value is the pair (reduced problem, snapshot): presolve
    and cuts under a deadline are not reproducible run-to-run, so resume

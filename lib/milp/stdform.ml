@@ -2,7 +2,9 @@ type t = {
   nrows : int;
   nstruct : int;
   ncols : int;
-  cols : (int * float) array array;
+  col_start : int array;
+  row_idx : int array;
+  value : float array;
   lb : float array;
   ub : float array;
   cost : float array;
@@ -20,7 +22,7 @@ type t = {
    numerically singular within a few pivots. The simplex works entirely
    in scaled space; bounds and solutions cross the boundary in
    {!Simplex.solve}. *)
-let equilibrate ~nrows ~nstruct ~ncols cols =
+let equilibrate ~nrows ~nstruct ~ncols ~col_start ~row_idx ~value =
   let row_scale = Array.make nrows 1. in
   let col_scale = Array.make ncols 1. in
   let pow2 s = if s <= 0. || not (Float.is_finite s) then 1. else 2. ** Float.round (log s /. log 2.) in
@@ -28,14 +30,14 @@ let equilibrate ~nrows ~nstruct ~ncols cols =
     (* Row pass: geometric mean of current scaled magnitudes per row. *)
     let log_sum = Array.make nrows 0. and count = Array.make nrows 0 in
     for j = 0 to nstruct - 1 do
-      Array.iter
-        (fun (i, a) ->
-          let v = abs_float (a *. row_scale.(i) *. col_scale.(j)) in
-          if v > 0. then begin
-            log_sum.(i) <- log_sum.(i) +. log v;
-            count.(i) <- count.(i) + 1
-          end)
-        cols.(j)
+      for k = col_start.(j) to col_start.(j + 1) - 1 do
+        let i = row_idx.(k) in
+        let v = abs_float (value.(k) *. row_scale.(i) *. col_scale.(j)) in
+        if v > 0. then begin
+          log_sum.(i) <- log_sum.(i) +. log v;
+          count.(i) <- count.(i) + 1
+        end
+      done
     done;
     for i = 0 to nrows - 1 do
       if count.(i) > 0 then begin
@@ -46,14 +48,13 @@ let equilibrate ~nrows ~nstruct ~ncols cols =
     (* Column pass. *)
     for j = 0 to nstruct - 1 do
       let log_sum = ref 0. and count = ref 0 in
-      Array.iter
-        (fun (i, a) ->
-          let v = abs_float (a *. row_scale.(i) *. col_scale.(j)) in
-          if v > 0. then begin
-            log_sum := !log_sum +. log v;
-            incr count
-          end)
-        cols.(j);
+      for k = col_start.(j) to col_start.(j + 1) - 1 do
+        let v = abs_float (value.(k) *. row_scale.(row_idx.(k)) *. col_scale.(j)) in
+        if v > 0. then begin
+          log_sum := !log_sum +. log v;
+          incr count
+        end
+      done;
       if !count > 0 then begin
         let gm = exp (!log_sum /. float_of_int !count) in
         col_scale.(j) <- pow2 (col_scale.(j) /. gm)
@@ -112,29 +113,49 @@ let of_problem p =
         lb.(s) <- 0.;
         ub.(s) <- 0.))
     p;
-  let cols =
-    Array.init ncols (fun j ->
-        if j < nstruct then Array.of_list (List.rev col_acc.(j)) else [| (j - nstruct, 1.) |])
-  in
+  (* Compressed sparse columns: structural columns in constraint order,
+     then one unit entry per logical. *)
+  let col_start = Array.make (ncols + 1) 0 in
+  for j = 0 to ncols - 1 do
+    col_start.(j + 1) <- col_start.(j) + (if j < nstruct then List.length col_acc.(j) else 1)
+  done;
+  let nnz = col_start.(ncols) in
+  let row_idx = Array.make nnz 0 and value = Array.make nnz 0. in
+  for j = 0 to nstruct - 1 do
+    (* [col_acc.(j)] is reversed: fill the column from its end. *)
+    List.iteri
+      (fun n (i, a) ->
+        let k = col_start.(j + 1) - 1 - n in
+        row_idx.(k) <- i;
+        value.(k) <- a)
+      col_acc.(j)
+  done;
+  for i = 0 to nrows - 1 do
+    let k = col_start.(nstruct + i) in
+    row_idx.(k) <- i;
+    value.(k) <- 1.
+  done;
   let sense, obj = Problem.objective p in
   let maximize = sense = Problem.Maximize in
   let sign = if maximize then -1. else 1. in
   List.iter (fun (v, c) -> cost.(v) <- sign *. c) (Linexpr.terms obj);
   (* Scale the matrix, right-hand side and costs; bounds stay in user
      space (see the type's documentation). *)
-  let row_scale, col_scale = equilibrate ~nrows ~nstruct ~ncols cols in
-  let cols =
-    Array.mapi
-      (fun j col -> Array.map (fun (i, a) -> (i, a *. row_scale.(i) *. col_scale.(j))) col)
-      cols
-  in
+  let row_scale, col_scale = equilibrate ~nrows ~nstruct ~ncols ~col_start ~row_idx ~value in
+  for j = 0 to ncols - 1 do
+    for k = col_start.(j) to col_start.(j + 1) - 1 do
+      value.(k) <- value.(k) *. row_scale.(row_idx.(k)) *. col_scale.(j)
+    done
+  done;
   let rhs = Array.mapi (fun i b -> b *. row_scale.(i)) rhs in
   let cost = Array.mapi (fun j c -> c *. col_scale.(j)) cost in
   {
     nrows;
     nstruct;
     ncols;
-    cols;
+    col_start;
+    row_idx;
+    value;
     lb;
     ub;
     cost;
@@ -150,15 +171,12 @@ let bounds t = (Array.copy t.lb, Array.copy t.ub)
 
 let coeff_range t =
   let lo = ref infinity and hi = ref 0. in
-  for j = 0 to t.nstruct - 1 do
-    Array.iter
-      (fun (_, a) ->
-        let v = abs_float a in
-        if v > 0. then begin
-          if v < !lo then lo := v;
-          if v > !hi then hi := v
-        end)
-      t.cols.(j)
+  for k = 0 to t.col_start.(t.nstruct) - 1 do
+    let v = abs_float t.value.(k) in
+    if v > 0. then begin
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
+    end
   done;
   if !hi = 0. then (0., 0.) else (!lo, !hi)
 

@@ -13,7 +13,12 @@ type t = {
   nrows : int;
   nstruct : int;  (** structural (user) variable count *)
   ncols : int;  (** [nstruct + nrows] *)
-  cols : (int * float) array array;  (** sparse column [j]: (row, coeff) pairs *)
+  col_start : int array;
+  (** compressed sparse columns, length [ncols + 1]: the nonzeros of
+      column [j] are entries [col_start.(j)] to [col_start.(j+1) - 1] of
+      [row_idx] / [value], in ascending constraint order *)
+  row_idx : int array;  (** constraint row of each stored nonzero *)
+  value : float array;  (** coefficient of each stored nonzero *)
   lb : float array;  (** length [ncols] *)
   ub : float array;
   cost : float array;  (** minimization costs, length [ncols] (zero on logicals) *)

@@ -31,3 +31,19 @@ let iteri f b =
   for i = 0 to b.len - 1 do
     f i b.data.(i)
   done
+
+let reserve_ints a ~used n =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 used;
+    b
+  end
+
+let reserve_floats a ~used n =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0. in
+    Array.blit a 0 b 0 used;
+    b
+  end

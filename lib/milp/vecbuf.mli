@@ -22,3 +22,15 @@ val to_array : 'a t -> 'a array
 (** Fresh array of the live elements. *)
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
+
+(** {2 Unboxed capacity} Scratch that reuses plain [int]/[float] arrays
+    (a polymorphic buffer would box every float it returns) grows them
+    through these. *)
+
+val reserve_ints : int array -> used:int -> int -> int array
+(** [reserve_ints a ~used n] is [a] when it has at least [n] elements;
+    otherwise a new array of at least [max n (2 * length a)] elements
+    starting with the first [used] elements of [a]. *)
+
+val reserve_floats : float array -> used:int -> int -> float array
+(** As {!reserve_ints}, for a flat float array. *)

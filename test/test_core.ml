@@ -673,9 +673,57 @@ let test_figure2_shape () =
       | _, None -> Alcotest.fail "expected a factor at the final sample")
     rows
 
+(* The factor hand-off branch & bound makes from a node to its children:
+   after a bound tightening on a fractional variable of a join-ordering
+   relaxation, a warm re-solve given the parent's factor must be
+   bit-for-bit the warm re-solve that factorizes the same basis itself —
+   a factorization is a pure function of the basis, so reusing one may
+   save work but never change a pivot. *)
+let prop_factor_handoff_identical =
+  QCheck.Test.make ~count:40 ~name:"warm re-solve with the parent's factor is bit-identical"
+    QCheck.(triple (int_range 0 3) (int_range 3 6) (int_range 0 5000))
+    (fun (shape, n, seed) ->
+      let shape = [| Join_graph.Chain; Join_graph.Star; Join_graph.Cycle; Join_graph.Clique |].(shape) in
+      let q = Workload.generate ~seed ~shape ~num_tables:n () in
+      let enc = Encoding.build q in
+      ignore (Cost_enc.install enc (Cost_enc.Fixed_operator Plan.Hash_join));
+      let sf = Milp.Stdform.of_problem enc.Encoding.problem in
+      let lb, ub = Milp.Stdform.bounds sf in
+      let root = Milp.Simplex.solve sf ~lb ~ub in
+      QCheck.assume (root.Milp.Simplex.status = Milp.Simplex.Optimal);
+      let frac j =
+        let v = root.Milp.Simplex.x.(j) in
+        sf.Milp.Stdform.integer.(j) && abs_float (v -. Float.round v) > 1e-5
+      in
+      let j = List.find_opt frac (List.init sf.Milp.Stdform.nstruct Fun.id) in
+      QCheck.assume (j <> None);
+      let j = Option.get j in
+      if Option.is_none root.Milp.Simplex.factor then
+        QCheck.Test.fail_report "an optimal root LP carried no factor";
+      let bits a = Array.map Int64.bits_of_float a in
+      let same (a : Milp.Simplex.result) (b : Milp.Simplex.result) =
+        a.Milp.Simplex.status = b.Milp.Simplex.status
+        && Int64.bits_of_float a.Milp.Simplex.objective = Int64.bits_of_float b.Milp.Simplex.objective
+        && bits a.Milp.Simplex.x = bits b.Milp.Simplex.x
+        && a.Milp.Simplex.iters = b.Milp.Simplex.iters
+        && a.Milp.Simplex.basis = b.Milp.Simplex.basis
+      in
+      let warm = (root.Milp.Simplex.basis, root.Milp.Simplex.vstatus) in
+      let x = root.Milp.Simplex.x.(j) in
+      List.for_all
+        (fun (lb, ub) ->
+          let handed = Milp.Simplex.solve ~warm ?factor:root.Milp.Simplex.factor sf ~lb ~ub in
+          let own = Milp.Simplex.solve ~warm sf ~lb ~ub in
+          same handed own)
+        [
+          (lb, Array.mapi (fun k u -> if k = j then floor x else u) ub);
+          (Array.mapi (fun k l -> if k = j then ceil x else l) lb, ub);
+        ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_factor_handoff_identical;
       prop_ladder_approximation_quality;
       prop_levels_match_fn;
       prop_analysis_matches_measured;
@@ -690,6 +738,62 @@ let qcheck_tests =
       prop_warm_start_expensive_roundtrip;
       prop_warm_start_refuses_uncovered_extensions;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Pinned search work                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Twenty fixed queries solved at the default greedy seed on one domain
+   with no binding limit: the certified objective (exact bits), the
+   branch & bound node count and the simplex iteration total are a
+   deterministic function of the code, so any change to pivot choice,
+   search order or floating-point summation order shows up here. A
+   refactor of the solver kernel must leave every triple unchanged; a
+   deliberate search change must re-pin them and say why. *)
+let pinned_work =
+  [
+    (100, "0x1.e24fp+16", 71, 324);  (* chain 5 *)
+    (101, "0x1.2a8p+10", 117, 598);  (* star 5 *)
+    (102, "0x1.d1p+8", 127, 918);  (* cycle 5 *)
+    (103, "0x1.9bcp+10", 0, 63);  (* clique 5 *)
+    (104, "0x1.d5ep+16", 459, 1591);  (* star 6 *)
+    (105, "0x1.758p+9", 7, 164);  (* chain 5 *)
+    (106, "0x1.16e4a888p+30", 309, 1251);  (* star 5 *)
+    (107, "0x1.824p+10", 593, 2892);  (* cycle 5 *)
+    (108, "0x1.056p+11", 575, 2865);  (* clique 5 *)
+    (109, "0x1.104p+11", 43, 395);  (* star 6 *)
+    (110, "0x1.cc05p+16", 1717, 5201);  (* chain 5 *)
+    (111, "0x1.d0e2p+16", 25, 197);  (* star 5 *)
+    (112, "0x1.1e8fp+20", 569, 2258);  (* cycle 5 *)
+    (113, "0x1.0f2p+11", 0, 65);  (* clique 5 *)
+    (114, "0x1.d271p+16", 119, 532);  (* star 6 *)
+    (115, "0x1.2p+6", 0, 62);  (* chain 5 *)
+    (116, "0x1.61ea3ap+23", 33, 244);  (* star 5 *)
+    (117, "0x1.d7dep+16", 631, 2537);  (* cycle 5 *)
+    (118, "0x1.8p+6", 0, 56);  (* clique 5 *)
+    (119, "0x1.650816p+23", 221, 797);  (* star 6 *)
+  ]
+
+let test_pinned_work () =
+  let groups =
+    [|
+      (Join_graph.Chain, 5); (Join_graph.Star, 5); (Join_graph.Cycle, 5);
+      (Join_graph.Clique, 5); (Join_graph.Star, 6);
+    |]
+  in
+  let config = Optimizer.default_config |> Optimizer.with_jobs 1 in
+  List.iteri
+    (fun i (seed, objective, nodes, iters) ->
+      let shape, num_tables = groups.(i mod Array.length groups) in
+      let q = Workload.generate ~seed ~shape ~num_tables () in
+      let r = Optimizer.optimize ~config q in
+      let what = Printf.sprintf "seed %d (%s %d)" seed (Join_graph.shape_to_string shape) num_tables in
+      Alcotest.(check string)
+        (what ^ " objective bits") objective
+        (match r.Optimizer.objective with Some o -> Printf.sprintf "%h" o | None -> "none");
+      Alcotest.(check int) (what ^ " nodes") nodes r.Optimizer.nodes;
+      Alcotest.(check int) (what ^ " simplex iterations") iters r.Optimizer.simplex_iters)
+    pinned_work
 
 let () =
   Alcotest.run "core"
@@ -710,6 +814,7 @@ let () =
           Alcotest.test_case "paper example" `Quick test_paper_example_end_to_end;
           Alcotest.test_case "anytime trace" `Quick test_anytime_trace_semantics;
           Alcotest.test_case "operator selection" `Quick test_operator_selection_beats_fixed;
+          Alcotest.test_case "pinned search work" `Quick test_pinned_work;
         ] );
       ( "experiments",
         [

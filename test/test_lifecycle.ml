@@ -386,7 +386,8 @@ let faults_can_cancel () =
 (* The differential-oracle shapes: interrupt a jobs=1 solve with the
    deterministic mid-solve-cancel fault, resume from its checkpoint, and
    demand the resumed run reproduce the uninterrupted run exactly —
-   status, objective, solution vector and even the total node count. *)
+   status, objective, solution vector and even the total node and
+   simplex iteration counts. *)
 let resume_reproduces_clean () =
   let cases =
     [
@@ -437,6 +438,13 @@ let resume_reproduces_clean () =
               Alcotest.failf "%s: solution vectors differ" where;
             Alcotest.(check int)
               (where ^ ": total nodes") cb.Branch_bound.o_nodes rb.Branch_bound.o_nodes;
+            (* The resumed search starts with an empty factor table, so its
+               first node LPs factorize where the clean run reused the
+               parent's factor; the pivots, and so the totals, must not
+               notice. *)
+            Alcotest.(check int)
+              (where ^ ": total simplex iterations") cb.Branch_bound.o_simplex_iters
+              rb.Branch_bound.o_simplex_iters;
             (match resumed.Solver.certificate with
             | Solver.Certified _ -> ()
             | Solver.Uncertified msg -> Alcotest.failf "%s: resumed uncertified: %s" where msg

@@ -757,6 +757,33 @@ let test_mps_structure () =
 (* Sparse vs dense LU (differential)                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Compressed sparse column form of a list of (row, value) columns, the
+   layout Sparse_lu reads (the same as Stdform's). *)
+let csc_of cols =
+  let col_start = Array.make (Array.length cols + 1) 0 in
+  Array.iteri (fun j col -> col_start.(j + 1) <- col_start.(j) + Array.length col) cols;
+  let nnz = col_start.(Array.length cols) in
+  let row_idx = Array.make nnz 0 and value = Array.make nnz 0. in
+  Array.iteri
+    (fun j col ->
+      Array.iteri
+        (fun n (i, v) ->
+          row_idx.(col_start.(j) + n) <- i;
+          value.(col_start.(j) + n) <- v)
+        col)
+    cols;
+  (col_start, row_idx, value)
+
+(* One scratch shared by every factorization below, as the simplex
+   shares one per domain: each case then also checks that a scratch left
+   behind by a different dimension, or by a factorization that raised
+   [Singular] midway, does not leak into the next factor. *)
+let lu_scratch = Sparse_lu.scratch ()
+
+let sparse_factorize ~dim cols basis =
+  let col_start, row_idx, value = csc_of cols in
+  Sparse_lu.factorize ~scratch:lu_scratch ~dim ~col_start ~row_idx ~value basis
+
 (* Random sparse invertible-ish matrices: both backends must agree on
    singularity and, when nonsingular, on solutions of both B y = r and
    B^T y = r. *)
@@ -783,7 +810,7 @@ let prop_sparse_dense_lu_agree =
         | exception Dense.Singular _ -> None
       in
       let sres =
-        match Sparse_lu.factorize ~dim:n ~columns:(fun j -> cols.(j)) basis with
+        match sparse_factorize ~dim:n cols basis with
         | lu -> Some lu
         | exception Sparse_lu.Singular _ -> None
       in
@@ -798,10 +825,10 @@ let prop_sparse_dense_lu_agree =
         in
         let d1 = Array.copy r and s1 = Array.copy r in
         Dense.lu_solve dlu d1;
-        Sparse_lu.solve slu s1;
+        Sparse_lu.solve slu ~work:(Array.make n 0.) s1;
         let d2 = Array.copy r and s2 = Array.copy r in
         Dense.lu_solve_transposed dlu d2;
-        Sparse_lu.solve_transposed slu s2;
+        Sparse_lu.solve_transposed slu ~work:(Array.make n 0.) s2;
         close d1 s1 && close d2 s2
       | _ ->
         (* Singularity thresholds can legitimately disagree on borderline
@@ -829,12 +856,12 @@ let prop_sparse_lu_residual =
             Array.of_seq (Hashtbl.to_seq entries))
       in
       let basis = Array.init n (fun i -> i) in
-      match Sparse_lu.factorize ~dim:n ~columns:(fun j -> cols.(j)) basis with
+      match sparse_factorize ~dim:n cols basis with
       | exception Sparse_lu.Singular _ -> false
       | lu ->
         let r = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
         let y = Array.copy r in
-        Sparse_lu.solve lu y;
+        Sparse_lu.solve lu ~work:(Array.make n 0.) y;
         (* B y = r, column-wise: residual_i = sum_k col_{basis k}(i) y_k - r_i *)
         let res = Array.map (fun v -> -.v) r in
         Array.iteri
@@ -843,7 +870,7 @@ let prop_sparse_lu_residual =
         let ok_solve = Array.for_all (fun v -> abs_float v <= 1e-8) res in
         let rt = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
         let yt = Array.copy rt in
-        Sparse_lu.solve_transposed lu yt;
+        Sparse_lu.solve_transposed lu ~work:(Array.make n 0.) yt;
         (* B^T y = r, row k of B^T being column basis.(k). *)
         let ok_transposed = ref true in
         Array.iteri
