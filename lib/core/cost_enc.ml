@@ -196,14 +196,14 @@ let install ?(pm = Cost_model.default_page_model) enc spec =
                   ~name:(Printf.sprintf "jos_j%d_%s" j (Plan.operator_to_string ops.(i)))
                   ~kind:Problem.Binary ()))
       in
+      let bounds = Array.map (fun op -> Bigm.product_bound (operator_cost_bound enc pm op)) ops in
       let pjc =
         Array.init enc.Encoding.num_joins (fun j ->
             Array.init nops (fun i ->
-                let bound = operator_cost_bound enc pm ops.(i) in
                 let v =
                   Problem.add_var p
                     ~name:(Printf.sprintf "pjc_j%d_%s" j (Plan.operator_to_string ops.(i)))
-                    ~lb:0. ~ub:bound ()
+                    ~lb:0. ~ub:bounds.(i) ()
                 in
                 Problem.add_constr p
                   ~name:(Printf.sprintf "pjc_def_j%d_%d" j i)
@@ -216,9 +216,7 @@ let install ?(pm = Cost_model.default_page_model) enc spec =
             Array.init nops (fun i ->
                 Linearize.product_binary_continuous p
                   ~name:(Printf.sprintf "ajc_j%d_%s" j (Plan.operator_to_string ops.(i)))
-                  ~binary:jos.(j).(i) ~continuous:pjc.(j).(i) ~lb:0.
-                  ~ub:(operator_cost_bound enc pm ops.(i))
-                  ()))
+                  ~binary:jos.(j).(i) ~continuous:pjc.(j).(i) ~lb:0. ~ub:bounds.(i) ()))
       in
       (* Exactly one operator per join. *)
       for j = 0 to enc.Encoding.num_joins - 1 do
@@ -247,13 +245,6 @@ let outer_value c order g j =
   if j = 0 then g c.enc.Encoding.effective_card.(order.(0))
   else Thresholds.approx_fn c.enc.Encoding.ladder g (Encoding.log10_outer_card c.enc order j)
 
-let operator_cost_value c order op j =
-  let inner_card = c.enc.Encoding.effective_card.(order.(j + 1)) in
-  match (op : Plan.operator) with
-  | Plan.Hash_join -> 3. *. (outer_value c order (g_pages c.pm) j +. g_pages c.pm inner_card)
-  | Plan.Sort_merge_join -> outer_value c order (g_smj c.pm) j +. g_smj c.pm inner_card
-  | Plan.Block_nested_loop -> outer_value c order (g_blocks c.pm) j *. g_pages c.pm inner_card
-
 let fill_bnl c aux order x =
   for j = 0 to c.enc.Encoding.num_joins - 1 do
     let b = outer_value c order (g_blocks c.pm) j in
@@ -268,7 +259,14 @@ let extend_assignment c order x =
   | Choose { ops; jos; pjc; ajc; bnl } ->
     (match bnl with Some aux -> fill_bnl c aux order x | None -> ());
     for j = 0 to c.enc.Encoding.num_joins - 1 do
-      let costs = Array.map (fun op -> operator_cost_value c order op j) ops in
+      (* Each operator's cost as its definition row sums it, so the row
+         holds to the last bit: a closed form summing the same staircase
+         in another order misses it by several units at 1e16. *)
+      let costs =
+        Array.map
+          (fun op -> Linexpr.eval (fun v -> x.(v)) (operator_cost_expr c.enc c.pm bnl op j))
+          ops
+      in
       let best = ref 0 in
       Array.iteri (fun i v -> if v < costs.(!best) then best := i) costs;
       Array.iteri

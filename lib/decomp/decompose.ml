@@ -180,30 +180,20 @@ let optimize ?(config = Optimizer.default_config) ?budget ?(jobs = 1) q =
       run ci
     done
   else begin
-    let mu = Mutex.create () in
-    let cv = Condition.create () in
-    let pending = ref nc in
     let pool =
       Milp.Work_pool.create ~jobs ~capacity:(max 1 nc) ~work:(fun ci ->
-          (try run ci
-           with _ ->
-             reports.(ci) <-
-               Some
-                 (degraded_report pt.Partition.clusters.(ci)
-                    ~why:"solver-failure:greedy" ~elapsed:0.));
-          Mutex.lock mu;
-          decr pending;
-          if !pending = 0 then Condition.broadcast cv;
-          Mutex.unlock mu)
+          try run ci
+          with _ ->
+            reports.(ci) <-
+              Some
+                (degraded_report pt.Partition.clusters.(ci)
+                   ~why:"solver-failure:greedy" ~elapsed:0.))
     in
     for ci = 0 to nc - 1 do
       ignore (Milp.Work_pool.submit ~block:true pool ci)
     done;
-    Mutex.lock mu;
-    while !pending > 0 do
-      Condition.wait cv mu
-    done;
-    Mutex.unlock mu;
+    (* The workers drain the queue before they exit, and joining them
+       publishes every report to this domain. *)
     Milp.Work_pool.shutdown pool;
     Milp.Work_pool.join pool
   end;

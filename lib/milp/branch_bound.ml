@@ -1,29 +1,22 @@
-type node_order = Best_bound | Depth_first
-
 type params = {
   time_limit : float option;
   node_limit : int option;
-  gap_tol : float;
-  int_tol : float;
-  dive_period : int;
-  max_dive_depth : int;
-  node_order : node_order;
   simplex : Simplex.params;
   jobs : int;
 }
 
 let default_params =
-  {
-    time_limit = None;
-    node_limit = None;
-    gap_tol = 1e-6;
-    int_tol = 1e-5;
-    dive_period = 64;
-    max_dive_depth = 50;
-    node_order = Best_bound;
-    simplex = Simplex.default_params;
-    jobs = 1;
-  }
+  { time_limit = None; node_limit = None; simplex = Simplex.default_params; jobs = 1 }
+
+let gap_tol = 1e-6
+
+let int_tol = 1e-5
+
+(* The diving heuristic runs from every [dive_period]-th node and fixes
+   at most [max_dive_depth] variables. *)
+let dive_period = 64
+
+let max_dive_depth = 50
 
 type progress = {
   pr_elapsed : float;
@@ -60,14 +53,13 @@ let gap ~incumbent ~bound =
 type node = {
   n_id : int;
   n_bound : float;  (* parent LP objective: a valid lower bound (min sense) *)
-  n_depth : int;
   n_fixes : (int * [ `Lb | `Ub ] * float) list;
   n_warm : (int array * Simplex.vstat array) option;
   n_parent : int;  (* the parent's [n_id], which keys its LP's factor; -1 at the root *)
 }
 
 (* Everything needed to continue the search in a fresh process. The heap
-   arrays are the queues' *internal storage order* (Pqueue.raw), not a
+   array is the queue's *internal storage order* (Pqueue.raw), not a
    sorted frontier: sibling nodes share their parent's LP bound as key,
    so pop order among equals depends on heap layout — replaying it
    byte-identically requires restoring that layout, not re-pushing.
@@ -75,8 +67,6 @@ type node = {
    snapshot is [Marshal]-safe by construction. *)
 type snapshot = {
   sn_heap : (float * node) array;
-  sn_bound_heap : (float * node) array;
-  sn_closed : int array;
   sn_next_node_id : int;
   sn_incumbent : (float * float array) option;
   sn_root_done : bool;
@@ -97,12 +87,7 @@ type search = {
   p : params;
   root_lb : float array;
   root_ub : float array;
-  heap : node Pqueue.t;
-  (* Mirror of [heap] keyed by LP bound, with lazy deletion through
-     [closed]: supplies the proven dual bound when [node_order] is not
-     best-bound. *)
-  bound_heap : node Pqueue.t;
-  closed : (int, unit) Hashtbl.t;
+  heap : node Pqueue.t;  (* open nodes keyed by their LP bound *)
   mutable next_node_id : int;
   budget : Budget.t;
   ckpt : (int * (snapshot -> unit)) option;  (* cadence in nodes, sink *)
@@ -136,27 +121,11 @@ let elapsed s = Budget.elapsed s.budget
 
 (* The proven global bound: the minimum over open node bounds (including
    the node currently being processed), the incumbent when the tree is
-   exhausted, or -inf before the root relaxation has been solved. Under
-   best-bound ordering the heap minimum IS the bound; under other
-   orderings the open minimum is tracked separately. *)
+   exhausted, or -inf before the root relaxation has been solved. Nodes
+   are popped best-bound first, so the heap minimum is the open bound. *)
 let global_bound s =
-  let rec open_min () =
-    match Pqueue.peek s.bound_heap with
-    | None -> None
-    | Some (k, n) ->
-      if Hashtbl.mem s.closed n.n_id then begin
-        ignore (Pqueue.pop s.bound_heap);
-        open_min ()
-      end
-      else Some k
-  in
-  let heap_bound =
-    match s.p.node_order with
-    | Best_bound -> Pqueue.min_key s.heap
-    | Depth_first -> open_min ()
-  in
   let open_bound =
-    match (heap_bound, s.in_flight) with
+    match (Pqueue.min_key s.heap, s.in_flight) with
     | Some b, Some f -> Some (min b f)
     | (Some _ as b), None -> b
     | None, (Some _ as f) -> f
@@ -220,7 +189,7 @@ let branch_variable s ~lb ~ub x =
   for j = 0 to s.sf.Stdform.nstruct - 1 do
     if s.sf.Stdform.integer.(j) && ub.(j) -. lb.(j) >= 0.5 then begin
       let f = fractionality x.(j) in
-      if f > s.p.int_tol && floor x.(j) >= lb.(j) -. s.p.int_tol && ceil x.(j) <= ub.(j) +. s.p.int_tol
+      if f > int_tol && floor x.(j) >= lb.(j) -. int_tol && ceil x.(j) <= ub.(j) +. int_tol
       then begin
         let prio = (Problem.var_info s.problem j).Problem.v_priority in
         match !best with
@@ -242,17 +211,17 @@ let try_incumbent s (x : float array) _lp_obj =
   for j = 0 to s.sf.Stdform.nstruct - 1 do
     if s.sf.Stdform.integer.(j) then snapped.(j) <- Float.round snapped.(j)
   done;
-  let tol = 10. *. s.p.simplex.Simplex.feas_tol in
+  let tol = 10. *. Simplex.feas_tol in
   let certify ~int_tol point =
     match Certify.check_point ~tol ~int_tol s.certify (fun v -> point.(v)) with
     | Certify.Certified r -> Some (Stdform.internal_of_user s.sf r.Certify.r_objective, point)
     | Certify.Rejected _ -> None
   in
   let candidate =
-    match certify ~int_tol:s.p.int_tol snapped with
+    match certify ~int_tol snapped with
     | Some _ as c -> c
     | None -> (
-      match certify ~int_tol:(10. *. s.p.int_tol) (Array.copy x) with
+      match certify ~int_tol:(10. *. int_tol) (Array.copy x) with
       | Some _ as c -> c
       | None ->
         s.rejected_incumbents <- s.rejected_incumbents + 1;
@@ -333,7 +302,7 @@ let node_lp s node =
 let is_integral s x =
   let ok = ref true in
   for j = 0 to s.sf.Stdform.nstruct - 1 do
-    if s.sf.Stdform.integer.(j) && fractionality x.(j) > s.p.int_tol then ok := false
+    if s.sf.Stdform.integer.(j) && fractionality x.(j) > int_tol then ok := false
   done;
   !ok
 
@@ -342,7 +311,7 @@ let is_integral s x =
    re-solve; stops on infeasibility, depth, or an integral point. *)
 let dive s node res0 =
   let rec go fixes res depth =
-    if depth > s.p.max_dive_depth then ()
+    if depth > max_dive_depth then ()
     else if is_integral s res.Simplex.x then ignore (try_incumbent s res.Simplex.x res.Simplex.objective)
     else begin
       (* Find least fractional (but still fractional) integer var. *)
@@ -350,7 +319,7 @@ let dive s node res0 =
       for j = 0 to s.sf.Stdform.nstruct - 1 do
         if s.sf.Stdform.integer.(j) then begin
           let f = fractionality res.Simplex.x.(j) in
-          if f > s.p.int_tol then
+          if f > int_tol then
             match !best with
             | None -> best := Some (j, f)
             | Some (_, bf) -> if f < bf then best := Some (j, f)
@@ -400,8 +369,6 @@ let classify_stop s =
 let take_snapshot s =
   {
     sn_heap = Pqueue.raw s.heap;
-    sn_bound_heap = Pqueue.raw s.bound_heap;
-    sn_closed = Array.of_seq (Hashtbl.to_seq_keys s.closed);
     sn_next_node_id = s.next_node_id;
     sn_incumbent = s.incumbent;
     sn_root_done = s.root_done;
@@ -429,7 +396,7 @@ let maybe_checkpoint s =
 let gap_closed s =
   match s.incumbent with
   | None -> false
-  | Some (inc, _) -> gap ~incumbent:inc ~bound:(global_bound s) <= s.p.gap_tol
+  | Some (inc, _) -> gap ~incumbent:inc ~bound:(global_bound s) <= gap_tol
 
 let finish s status_when_done =
   report ~force:true s;
@@ -473,11 +440,6 @@ let finish s status_when_done =
     o_seed = s.seed;
   }
 
-let node_key s n =
-  match s.p.node_order with
-  | Best_bound -> n.n_bound
-  | Depth_first -> float_of_int (-n.n_depth)
-
 (* Put a node whose LP was cut short by the budget back on the frontier:
    the open set (and hence the proven dual bound and any checkpoint
    taken from it) stays complete, and the node is simply re-processed on
@@ -485,9 +447,7 @@ let node_key s n =
    matches an uninterrupted one. *)
 let requeue s node =
   s.nodes <- s.nodes - 1;
-  Hashtbl.remove s.closed node.n_id;
-  Pqueue.push s.heap (node_key s node) node;
-  if s.p.node_order <> Best_bound then Pqueue.push s.bound_heap node.n_bound node
+  Pqueue.push s.heap node.n_bound node
 
 (* Process one popped node. [lp] supplies the node's LP relaxation
    result (inline in the serial engine, possibly precomputed by a worker
@@ -524,7 +484,6 @@ let process_node s ~lp ~offer node =
             {
               n_id = s.next_node_id;
               n_bound = obj;
-              n_depth = node.n_depth + 1;
               n_fixes = fixes;
               n_warm = warm;
               n_parent = node.n_id;
@@ -532,22 +491,13 @@ let process_node s ~lp ~offer node =
           in
           let down = child ((j, `Ub, Float.of_int (int_of_float (floor xj))) :: node.n_fixes) in
           let up = child ((j, `Lb, Float.of_int (int_of_float (ceil xj))) :: node.n_fixes) in
-          (* Depth-first keys dive toward incumbents (deeper = smaller
-             key), tie-broken by the LP bound; the true dual bound stays
-             correct because global_bound reads node bounds, not keys. *)
-          let key n =
-            match s.p.node_order with
-            | Best_bound -> n.n_bound
-            | Depth_first -> float_of_int (-n.n_depth)
-          in
           let push n =
-            Pqueue.push s.heap (key n) n;
-            if s.p.node_order <> Best_bound then Pqueue.push s.bound_heap n.n_bound n;
-            offer ~key:(key n) n
+            Pqueue.push s.heap n.n_bound n;
+            offer ~key:n.n_bound n
           in
           push down;
           push up);
-        if s.p.dive_period > 0 && s.nodes mod s.p.dive_period = 1 then dive s node res
+        if s.nodes mod dive_period = 1 then dive s node res
       end
     end
 
@@ -568,7 +518,6 @@ let run_search s initial_offers =
       match Pqueue.pop s.heap with
       | None -> finish s Unknown
       | Some (_, node) ->
-        Hashtbl.replace s.closed node.n_id ();
         let bound = node.n_bound in
         let dominated =
           match s.incumbent with
@@ -660,16 +609,6 @@ let solve ?(params = default_params) ?budget ?checkpoint ?certify_against ?mip_s
       root_ub;
       heap =
         (match resume with Some sn -> Pqueue.of_raw sn.sn_heap | None -> Pqueue.create ());
-      bound_heap =
-        (match resume with
-        | Some sn -> Pqueue.of_raw sn.sn_bound_heap
-        | None -> Pqueue.create ());
-      closed =
-        (let h = Hashtbl.create 256 in
-         (match resume with
-         | Some sn -> Array.iter (fun id -> Hashtbl.replace h id ()) sn.sn_closed
-         | None -> ());
-         h);
       next_node_id = (match resume with Some sn -> sn.sn_next_node_id | None -> 0);
       budget;
       ckpt =
@@ -759,7 +698,6 @@ let solve ?(params = default_params) ?budget ?checkpoint ?certify_against ?mip_s
         {
           n_id = 0;
           n_bound = res.Simplex.objective;
-          n_depth = 0;
           n_fixes = [];
           n_warm = None;
           n_parent = -1;
@@ -771,6 +709,5 @@ let solve ?(params = default_params) ?budget ?checkpoint ?certify_against ?mip_s
       end
       else begin
         Pqueue.push s.heap root.n_bound root;
-        if s.p.node_order <> Best_bound then Pqueue.push s.bound_heap root.n_bound root;
         run_search s [ (root.n_bound, root) ]
       end)

@@ -1,25 +1,14 @@
 (** LP-relaxation branch & bound over a {!Problem.t}.
 
     Best-bound node selection with warm-started simplex re-solves, variable
-    branching guided by user priorities then fractionality, an optional
+    branching guided by user priorities then fractionality, a periodic
     diving primal heuristic, MIP starts, and anytime progress reporting
     (incumbent, proven dual bound, relative gap) — the features of
     commercial MILP solvers that the paper's query optimizer relies on. *)
 
-(** Node selection: [Best_bound] explores the most promising subtree
-    first and keeps the proven bound as tight as possible; [Depth_first]
-    plunges toward integer solutions, often finding incumbents sooner at
-    the price of a weaker early bound. *)
-type node_order = Best_bound | Depth_first
-
 type params = {
   time_limit : float option;  (** wall-clock seconds *)
   node_limit : int option;
-  gap_tol : float;  (** stop when relative gap falls below this *)
-  int_tol : float;  (** integrality tolerance on LP values *)
-  dive_period : int;  (** run the diving heuristic every N nodes; 0 disables *)
-  max_dive_depth : int;
-  node_order : node_order;
   simplex : Simplex.params;
   jobs : int;
   (** Number of domains used by the solve. [1] (the default) is the
@@ -35,8 +24,12 @@ type params = {
 }
 
 val default_params : params
-(** No limits, [gap_tol = 1e-6], [int_tol = 1e-6], diving every 64 nodes,
-    [jobs = 1]. *)
+(** No limits, default simplex parameters, [jobs = 1]. *)
+
+val int_tol : float
+(** Integrality tolerance on LP values, 1e-5. The other search settings
+    are fixed too: the search stops at a relative gap of 1e-6, and it
+    dives from every 64th node, fixing at most 50 variables per dive. *)
 
 type progress = {
   pr_elapsed : float;
@@ -47,7 +40,7 @@ type progress = {
 }
 
 type status =
-  | Optimal  (** incumbent proven optimal within [gap_tol] *)
+  | Optimal  (** incumbent proven optimal within a relative gap of 1e-6 *)
   | Feasible  (** stopped at a limit with an incumbent in hand *)
   | Infeasible
   | Unbounded

@@ -162,8 +162,10 @@ let propagate ctx rows lb ub =
       (fun (_name, terms, sense, rhs) ->
         if Array.length terms > 0 then begin
           let amin, amax = row_activity ~lb ~ub terms in
+          (* Integer bounds round in floats: a trip through [int] wraps
+             a derived bound beyond [max_int] to a negative one. *)
           let tighten_ub v b =
-            let b = if integer.(v) then Float.of_int (int_of_float (floor (b +. 1e-6))) else b in
+            let b = if integer.(v) then Float.floor (b +. 1e-6) else b in
             let b = b +. eps b in
             if b < ub.(v) -. eps b then begin
               ub.(v) <- Float.max b lb.(v);
@@ -171,7 +173,7 @@ let propagate ctx rows lb ub =
             end
           in
           let tighten_lb v b =
-            let b = if integer.(v) then Float.of_int (int_of_float (ceil (b -. 1e-6))) else b in
+            let b = if integer.(v) then Float.ceil (b -. 1e-6) else b in
             let b = b -. eps b in
             if b > lb.(v) +. eps b then begin
               lb.(v) <- Float.min b ub.(v);

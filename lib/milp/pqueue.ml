@@ -45,8 +45,6 @@ let push t key value =
 
 let min_key t = if t.len = 0 then None else Some t.heap.(0).key
 
-let peek t = if t.len = 0 then None else Some (t.heap.(0).key, t.heap.(0).value)
-
 let pop t =
   if t.len = 0 then None
   else begin

@@ -12,9 +12,6 @@ val min_key : 'a t -> float option
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the entry with the smallest key. *)
 
-val peek : 'a t -> (float * 'a) option
-(** The entry with the smallest key, without removing it. *)
-
 val raw : 'a t -> (float * 'a) array
 (** The internal heap array in storage order (a valid heap layout, not
     sorted). With [of_raw] this round-trips the queue *byte-identically*:

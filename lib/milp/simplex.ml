@@ -3,31 +3,25 @@ type vstat = SBasic | SLower | SUpper | SFree
 type basis_backend = Dense_backend | Sparse_backend
 
 type params = {
-  feas_tol : float;
-  dual_tol : float;
   pivot_tol : float;
-  max_iters : int;
   refactor_every : int;
   backend : basis_backend;
   budget : Budget.t option;
-  perturb : float;  (* bound-relaxation noise, as a multiple of feas_tol; 0 = off *)
-  warm_dual : bool;  (* attempt the dual simplex on warm starts *)
   force_bland : bool;  (* Bland-only pricing from the first iteration *)
 }
 
 let default_params =
   {
-    feas_tol = 1e-7;
-    dual_tol = 1e-9;
     pivot_tol = 1e-8;
-    max_iters = 0;
     refactor_every = 40;
     backend = Sparse_backend;
     budget = None;
-    perturb = 0.;
-    warm_dual = false;
     force_bland = false;
   }
+
+let feas_tol = 1e-7
+
+let dual_tol = 1e-9
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit | Numerical_failure
 
@@ -351,7 +345,7 @@ let choose_entering st y ~phase1 ~obj_scale ~bland =
          many orders of magnitude, chasing absolutely-tiny reduced costs
          on huge-cost columns churns forever for a relatively
          meaningless improvement. *)
-      let tol = st.p.dual_tol *. (1. +. abs_float cost +. (1e-4 *. obj_scale)) in
+      let tol = dual_tol *. (1. +. abs_float cost +. (1e-4 *. obj_scale)) in
       (* 1: increase, -1: decrease, 0: does not price out. *)
       let dir =
         match s with
@@ -395,15 +389,14 @@ let row_candidate st ~phase1 w dir i =
   let delta = -.dir *. w.(i) in
   let bi = st.basis.(i) in
   let x = st.xb.(i) in
-  let ftol = st.p.feas_tol in
   let cell = st.ws.cell in
-  if phase1 && x < st.lb.(bi) -. ftol then
+  if phase1 && x < st.lb.(bi) -. feas_tol then
     if delta > 0. then begin
       cell.(0) <- (st.lb.(bi) -. x) /. delta;
       SLower
     end
     else SBasic
-  else if phase1 && x > st.ub.(bi) +. ftol then
+  else if phase1 && x > st.ub.(bi) +. feas_tol then
     if delta < 0. then begin
       cell.(0) <- (st.ub.(bi) -. x) /. delta;
       SUpper
@@ -435,7 +428,7 @@ let block st kind ~row ~land_on step =
    non-negative) step and the blocking event in the state. *)
 let ratio_test st ~phase1 ~bland w dir q =
   let m = st.sf.Stdform.nrows in
-  let ftol = st.p.feas_tol and pivot_tol = st.p.pivot_tol in
+  let pivot_tol = st.p.pivot_tol in
   let cell = st.ws.cell in
   let self_range = st.ub.(q) -. st.lb.(q) in
   (* Pass 1: smallest ratio. Harris mode relaxes each bound by feas_tol
@@ -446,7 +439,7 @@ let ratio_test st ~phase1 ~bland w dir q =
     let delta = -.dir *. w.(i) in
     if abs_float delta > pivot_tol && row_candidate st ~phase1 w dir i <> SBasic then begin
       let t = cell.(0) in
-      let tr = if bland then fmax 0. t else t +. (ftol /. abs_float delta) in
+      let tr = if bland then fmax 0. t else t +. (feas_tol /. abs_float delta) in
       if tr < !t_limit then t_limit := tr
     end
   done;
@@ -546,7 +539,7 @@ let apply_step st w dir q t =
     st.basis.(r) <- q;
     st.stat.(q) <- SBasic;
     st.xb.(r) <- entering_value;
-    if t <= st.p.feas_tol then st.degenerate_streak <- st.degenerate_streak + 1
+    if t <= feas_tol then st.degenerate_streak <- st.degenerate_streak + 1
     else st.degenerate_streak <- 0;
     push_eta st r w
 
@@ -576,8 +569,8 @@ let phase1_duals st =
   for i = 0 to m - 1 do
     let bi = st.basis.(i) in
     y.(i) <-
-      (if st.xb.(i) < st.lb.(bi) -. st.p.feas_tol then -1.
-       else if st.xb.(i) > st.ub.(bi) +. st.p.feas_tol then 1.
+      (if st.xb.(i) < st.lb.(bi) -. feas_tol then -1.
+       else if st.xb.(i) > st.ub.(bi) +. feas_tol then 1.
        else 0.)
   done;
   btran st y;
@@ -592,8 +585,7 @@ let phase2_duals st =
   btran st y;
   y
 
-let max_iters st =
-  if st.p.max_iters > 0 then st.p.max_iters else 20000 + (100 * st.sf.Stdform.nrows)
+let max_iters st = 20000 + (100 * st.sf.Stdform.nrows)
 
 type phase_outcome = Phase_done | Phase_infeasible | Phase_unbounded | Phase_iters
 
@@ -657,7 +649,7 @@ let run_phase st ~phase1 =
   let sf = st.sf in
   reset_devex st;
   let rec loop () =
-    if phase1 && max_violation st <= st.p.feas_tol then Phase_done
+    if phase1 && max_violation st <= feas_tol then Phase_done
     else if st.iters >= limit || out_of_time st then Phase_iters
     else begin
       st.iters <- st.iters + 1;
@@ -716,121 +708,6 @@ let run_phase st ~phase1 =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Dual simplex                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The dual simplex walks dual-feasible bases toward primal feasibility —
-   the method of choice for branch & bound re-solves, where the parent's
-   optimal basis stays dual feasible after a bound tightening and usually
-   needs only a handful of pivots.
-
-   Leaving choice: the basic variable with the largest bound violation.
-   Entering choice: the dual ratio test over the pivot row, tie-broken by
-   pivot magnitude. Returns [Phase_done] on primal feasibility (the basis
-   is then optimal), [Phase_infeasible] on a certified empty row, and
-   [Phase_iters] when limits or numerical trouble suggest falling back to
-   the primal algorithm. *)
-let run_dual st =
-  let sf = st.sf in
-  let col_start = sf.Stdform.col_start and row_idx = sf.Stdform.row_idx in
-  let value = sf.Stdform.value in
-  let m = sf.Stdform.nrows in
-  let limit = max_iters st in
-  let rec loop () =
-    if st.iters >= limit || out_of_time st then Phase_iters
-    else begin
-      (* Leaving row: the largest violation. *)
-      let leave = ref (-1) and viol = ref st.p.feas_tol and below = ref true in
-      for i = 0 to m - 1 do
-        let bi = st.basis.(i) in
-        if st.xb.(i) < st.lb.(bi) -. !viol then begin
-          leave := i;
-          viol := st.lb.(bi) -. st.xb.(i);
-          below := true
-        end
-        else if st.xb.(i) > st.ub.(bi) +. !viol then begin
-          leave := i;
-          viol := st.xb.(i) -. st.ub.(bi);
-          below := false
-        end
-      done;
-      if !leave < 0 then Phase_done
-      else begin
-        st.iters <- st.iters + 1;
-        let r = !leave in
-        (* Pivot row alphas and current duals. *)
-        let rho = pivot_row st r in
-        let y = phase2_duals st in
-        (* Entering: among nonbasics able to push the leaver toward its
-           violated bound, minimize |d_j / alpha_j| (dual ratio), prefer
-           big pivots within a relative window. *)
-        let best = ref (-1) and best_ratio = ref 0. and best_alpha = ref 0. in
-        for j = 0 to sf.Stdform.ncols - 1 do
-          if st.stat.(j) <> SBasic && st.ub.(j) -. st.lb.(j) > 0. then begin
-            let alpha = ref 0. in
-            for k = col_start.(j) to col_start.(j + 1) - 1 do
-              alpha := !alpha +. (value.(k) *. rho.(row_idx.(k)))
-            done;
-            let alpha = !alpha in
-            if abs_float alpha > st.p.pivot_tol then begin
-              (* x_Br changes by -alpha * t when x_j moves by +t. Moving
-                 x_j up is allowed from SLower/SFree, down from
-                 SUpper/SFree. *)
-              let eligible =
-                if !below then
-                  (* need x_Br to increase *)
-                  (st.stat.(j) <> SUpper && alpha < 0.) || (st.stat.(j) <> SLower && alpha > 0.)
-                else (st.stat.(j) <> SUpper && alpha > 0.) || (st.stat.(j) <> SLower && alpha < 0.)
-              in
-              if eligible then begin
-                let d = ref sf.Stdform.cost.(j) in
-                for k = col_start.(j) to col_start.(j + 1) - 1 do
-                  d := !d -. (value.(k) *. y.(row_idx.(k)))
-                done;
-                let ratio = abs_float !d /. abs_float alpha in
-                let br = !best_ratio in
-                let better =
-                  !best < 0
-                  || ratio < br -. 1e-12
-                  || (ratio <= br +. (1e-7 *. br) +. 1e-12 && abs_float alpha > !best_alpha)
-                in
-                if better then begin
-                  best := j;
-                  best_ratio := ratio;
-                  best_alpha := abs_float alpha
-                end
-              end
-            end
-          end
-        done;
-        if !best < 0 then
-          (* No way to repair the violated row: primal infeasible. *)
-          Phase_infeasible
-        else begin
-          let q = !best in
-          (* Primal step: bring the leaver exactly to its violated bound. *)
-          let w = entering_column st q in
-          if abs_float w.(r) <= st.p.pivot_tol then Phase_iters
-          else begin
-            let bi = st.basis.(r) in
-            let target = if !below then st.lb.(bi) else st.ub.(bi) in
-            (* x_Br = xb_r - w_r * dir * t must reach target. *)
-            let t = (st.xb.(r) -. target) /. w.(r) in
-            (* Express as the primal update convention: entering moves by
-               dir * |t| with dir = sign t. *)
-            let dir = if t >= 0. then 1. else -1. in
-            let step = abs_float t in
-            block st Leaving ~row:r ~land_on:(if !below then SLower else SUpper) step;
-            apply_step st w dir q step;
-            loop ()
-          end
-        end
-      end
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -883,9 +760,9 @@ let cold_start sf lb ub =
 let clamp_basics st =
   for i = 0 to st.sf.Stdform.nrows - 1 do
     let bi = st.basis.(i) in
-    if st.xb.(i) < st.lb.(bi) && st.xb.(i) > st.lb.(bi) -. (10. *. st.p.feas_tol) then
+    if st.xb.(i) < st.lb.(bi) && st.xb.(i) > st.lb.(bi) -. (10. *. feas_tol) then
       st.xb.(i) <- st.lb.(bi)
-    else if st.xb.(i) > st.ub.(bi) && st.xb.(i) < st.ub.(bi) +. (10. *. st.p.feas_tol) then
+    else if st.xb.(i) > st.ub.(bi) && st.xb.(i) < st.ub.(bi) +. (10. *. feas_tol) then
       st.xb.(i) <- st.ub.(bi)
   done
 
@@ -904,33 +781,6 @@ let solve_in (ws : work) params warm factor sf ~lb:user_lb ~ub:user_ub =
   for j = 0 to sf.Stdform.ncols - 1 do
     lb.(j) <- user_lb.(j) /. sf.Stdform.col_scale.(j);
     ub.(j) <- user_ub.(j) /. sf.Stdform.col_scale.(j)
-  done;
-  (* Anti-degeneracy: relax every finite bound outward by a tiny,
-     deterministic, per-variable amount. Ratios in the ratio test become
-     distinct, which kills the stalling on massively degenerate
-     encodings; since the feasible region only grows, the optimal value
-     remains a valid relaxation bound, and the error is within the
-     feasibility tolerance that callers already absorb. *)
-  let noise j =
-    (* A cheap splitmix-style hash to [0.25, 1.25). *)
-    let h = ref (j * 0x9E3779B9) in
-    h := (!h lxor (!h lsr 16)) * 0x85EBCA6B land 0x3FFFFFFF;
-    0.25 +. (float_of_int !h /. float_of_int 0x40000000)
-  in
-  let eps = params.feas_tol *. params.perturb in
-  if eps > 0. then
-  for j = 0 to sf.Stdform.ncols - 1 do
-    (* Divide by the (scaled) objective coefficient so the perturbation's
-       objective-noise stays uniformly below the tolerance — otherwise
-       variables with huge costs turn the relaxation into a noise
-       optimization problem. *)
-    let damp = 1. +. abs_float sf.Stdform.cost.(j) in
-    if (lb.(j) > neg_infinity && lb.(j) < ub.(j)) || lb.(j) = ub.(j) then begin
-      if lb.(j) > neg_infinity then
-        lb.(j) <- lb.(j) -. (eps *. noise j *. (1. +. abs_float lb.(j)) /. damp);
-      if ub.(j) < infinity then
-        ub.(j) <- ub.(j) +. (eps *. noise (j + 1000003) *. (1. +. abs_float ub.(j)) /. damp)
-    end
   done;
   let basis, stat =
     match warm with
@@ -984,34 +834,6 @@ let solve_in (ws : work) params warm factor sf ~lb:user_lb ~ub:user_ub =
       let basis, stat = cold_start sf lb ub in
       make_state basis stat None
   in
-  (* Warm bases from a parent node are dual feasible after a bound
-     change; try the dual simplex first and fall through to the primal
-     two-phase algorithm if it cannot finish cleanly. *)
-  let dual_outcome =
-    match warm with
-    | None -> None
-    | Some _ when not params.warm_dual -> None
-    | Some _ -> (
-      match run_dual st with
-      | Phase_done -> (
-        match refactorize st with
-        | () when max_violation st <= 10. *. params.feas_tol -> (
-          (* Dual feasibility should make this point optimal; verify by
-             pricing once — if improving directions remain (stale duals),
-             fall through to the primal cleanup. *)
-          match run_phase st ~phase1:false with
-          | Phase_done -> Some (extract st Optimal)
-          | Phase_unbounded | Phase_iters | Phase_infeasible -> None
-          | exception Factor_singular _ -> None)
-        | () -> None
-        | exception Factor_singular _ -> None)
-      | Phase_infeasible -> Some (extract st Infeasible)
-      | Phase_iters | Phase_unbounded -> None
-      | exception Factor_singular _ -> None)
-  in
-  match dual_outcome with
-  | Some r -> r
-  | None ->
   (* The two-phase loop, with a bounded number of restarts: a singular
      refactorization repairs to the slack basis mid-phase, after which
      the point may be primal-infeasible again and phase 1 must rerun. *)
@@ -1033,7 +855,7 @@ let solve_in (ws : work) params warm factor sf ~lb:user_lb ~ub:user_ub =
           (* Guard against drift: refactorize and re-verify feasibility. *)
           (match refactorize st with
           | () ->
-            if max_violation st > 10. *. params.feas_tol then drive (attempts - 1)
+            if max_violation st > 10. *. feas_tol then drive (attempts - 1)
             else extract st Optimal
           | exception Factor_singular _ -> extract st Numerical_failure)
         | Phase_unbounded ->

@@ -27,26 +27,13 @@ type basis_backend =
   | Sparse_backend  (** sparse LU; the default — encodings are very sparse *)
 
 type params = {
-  feas_tol : float;  (** primal feasibility tolerance (default 1e-7) *)
-  dual_tol : float;  (** reduced-cost tolerance (default 1e-9) *)
   pivot_tol : float;  (** smallest acceptable pivot magnitude (default 1e-8) *)
-  max_iters : int;  (** 0 means automatic: [20000 + 100 * nrows] *)
   refactor_every : int;  (** eta-file length triggering refactorization *)
   backend : basis_backend;
   budget : Budget.t option;
   (** budget polled every 64 iterations; when exhausted (deadline passed
       or cancellation requested) the solve returns [Iteration_limit];
       [None] = no limit (chaos early-timeout injection still applies) *)
-  perturb : float;
-  (** anti-degeneracy bound relaxation as a multiple of [feas_tol]
-      (bounds are only relaxed outward, so relaxation values remain valid
-      dual bounds); 0 disables *)
-  warm_dual : bool;
-  (** attempt the dual simplex when a warm basis is supplied (it stays
-      dual-feasible across bound changes); falls back to the primal
-      two-phase algorithm when it cannot finish cleanly. Off by default:
-      on the join-ordering encodings the primal warm start is usually
-      faster. *)
   force_bland : bool;
   (** use Bland's smallest-index pricing from the first iteration instead
       of only as an anti-cycling fallback — slow but maximally robust;
@@ -54,6 +41,11 @@ type params = {
 }
 
 val default_params : params
+
+val feas_tol : float
+(** Primal feasibility tolerance, 1e-7.
+    The reduced-cost tolerance is 1e-9, relative to the cost, and a solve
+    stops with [Iteration_limit] after [20000 + 100 * nrows] iterations. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit | Numerical_failure
 

@@ -2,7 +2,6 @@ type params = {
   bb : Branch_bound.params;
   presolve : bool;
   cut_rounds : int;
-  cuts_per_round : int;
   max_recovery_rungs : int;
   checkpoint : Checkpoint.config option;
   lint : Lint.level;
@@ -13,11 +12,13 @@ let default_params =
     bb = Branch_bound.default_params;
     presolve = true;
     cut_rounds = 3;
-    cuts_per_round = 16;
     max_recovery_rungs = 3;
     checkpoint = None;
     lint = Lint.Off;
   }
+
+(* Gomory cuts added per root round, at most. *)
+let cuts_per_round = 16
 
 let with_time_limit t params = { params with bb = { params.bb with Branch_bound.time_limit = Some t } }
 
@@ -61,8 +62,9 @@ let infeasible_result () =
    Problem.t grew a metadata field, changing the Marshal layout of the
    persisted reduced problem. v3: the snapshot carries the seeded
    incumbent's provenance. v4: nodes carry their parent's sequence
-   number. *)
-let checkpoint_tag problem = "bb-snapshot-v4:" ^ Checkpoint.problem_digest problem
+   number. v5: nodes drop their depth, and the snapshot its bound-keyed
+   mirror heap and closed set. *)
+let checkpoint_tag problem = "bb-snapshot-v5:" ^ Checkpoint.problem_digest problem
 
 (* The persisted value is the pair (reduced problem, snapshot): presolve
    and cuts under a deadline are not reproducible run-to-run, so resume
@@ -117,7 +119,7 @@ let solve_once ~params ~budget ~tag ?mip_start ?on_progress ?resume problem =
           in
           let q', stats =
             Cuts.gomory_strengthen ~max_rounds:params.cut_rounds
-              ~max_per_round:params.cuts_per_round ~simplex_params q
+              ~max_per_round:cuts_per_round ~simplex_params q
           in
           Logs.debug (fun m ->
               m "cuts: %d GMI cuts in %d rounds" stats.Cuts.cuts_added stats.Cuts.rounds_run);
@@ -132,22 +134,20 @@ let solve_once ~params ~budget ~tag ?mip_start ?on_progress ?resume problem =
 (* Independent audit of a finished outcome against the original problem:
    the returned point, the recomputed objective, the progress trace's
    anytime invariants, and the proven dual bound. *)
-let certify_outcome params problem (out : Branch_bound.outcome) =
+let certify_outcome problem (out : Branch_bound.outcome) =
   let minimize =
     match Problem.objective problem with
     | Problem.Minimize, _ -> true
     | Problem.Maximize, _ -> false
   in
-  let feas_tol = params.bb.Branch_bound.simplex.Simplex.feas_tol in
-  let int_tol = params.bb.Branch_bound.int_tol in
   match (out.Branch_bound.o_x, out.Branch_bound.o_objective) with
   | None, _ | _, None -> No_incumbent
   | Some x, Some obj ->
     if not (Float.is_finite obj) then Uncertified "reported objective is not finite"
     else begin
       match
-        Certify.check_point ~tol:(10. *. feas_tol) ~int_tol:(10. *. int_tol) problem (fun v ->
-            x.(v))
+        Certify.check_point ~tol:(10. *. Simplex.feas_tol) ~int_tol:(10. *. Branch_bound.int_tol)
+          problem (fun v -> x.(v))
       with
       | Certify.Rejected msg -> Uncertified msg
       | Certify.Certified r ->
@@ -179,7 +179,7 @@ let certify_outcome params problem (out : Branch_bound.outcome) =
 (* Numeric-failure recovery ladder — the moral equivalent of a commercial
    solver's "numeric focus" escalation. Rung 0 is the caller's own
    configuration; each higher rung trades speed for robustness:
-   rung 1 drops cuts and perturbation and pivots more conservatively,
+   rung 1 drops cuts and pivots more conservatively,
    rung 2 adds Bland pricing, frequent refactorization and no presolve,
    rung 3 switches to the dense reference factorization. *)
 let escalate params rung =
@@ -189,8 +189,7 @@ let escalate params rung =
     let sx =
       {
         sx with
-        Simplex.perturb = 0.;
-        pivot_tol = sx.Simplex.pivot_tol *. 100.;
+        Simplex.pivot_tol = sx.Simplex.pivot_tol *. 100.;
         refactor_every = max 10 (sx.Simplex.refactor_every / 2);
       }
     in
@@ -300,7 +299,7 @@ let solve ?(params = default_params) ?budget ?(resume = false) ?mip_start ?on_pr
   let rec attempt rung best resume_state =
     let p = escalate params rung in
     let result = solve_once ~params:p ~budget ~tag ?mip_start ?on_progress ?resume:resume_state problem in
-    let cert = certify_outcome p problem result in
+    let cert = certify_outcome problem result in
     let best =
       match best with
       | None -> (result, cert, rung)

@@ -14,7 +14,7 @@
     {!certificate}. When a solve fails numerically (uncertified result,
     or [Unknown] with budget to spare), {!solve} retries on an escalating
     ladder of increasingly conservative configurations — cuts off,
-    perturbation off, stricter pivot acceptance, Bland pricing, dense
+    stricter pivot acceptance, Bland pricing, dense
     factorization — the moral equivalent of a commercial solver's
     "numeric focus" parameter.
 
@@ -32,8 +32,7 @@
 type params = {
   bb : Branch_bound.params;
   presolve : bool;
-  cut_rounds : int;  (** Gomory rounds at the root; 0 disables cuts *)
-  cuts_per_round : int;
+  cut_rounds : int;  (** Gomory rounds of up to 16 cuts at the root; 0 disables cuts *)
   max_recovery_rungs : int;
   (** highest recovery-ladder rung tried after a numeric failure
       (0 disables recovery; default 3) *)
@@ -50,8 +49,8 @@ type params = {
 }
 
 val default_params : params
-(** Presolve on, 3 cut rounds of up to 16 cuts, default branch & bound,
-    recovery ladder up to rung 3, no checkpointing. *)
+(** Presolve on, 3 cut rounds, default branch & bound, recovery ladder
+    up to rung 3, no checkpointing, lint off. *)
 
 val with_time_limit : float -> params -> params
 (** Convenience: sets the branch & bound wall-clock limit. The budget

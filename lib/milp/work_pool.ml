@@ -10,8 +10,8 @@
    so a poisoned item cannot shrink the pool.
 
    Lives in lib/milp (below every consumer) so both the service layer
-   (Scheduler.Pool is an alias of this module) and lib/decomp can share
-   the same worker-domain machinery without a dependency cycle. *)
+   and lib/decomp can share the same worker-domain machinery without a
+   dependency cycle. *)
 
 type 'a t = {
   p_mu : Mutex.t;

@@ -353,15 +353,6 @@ let run ?(config = Optimizer.default_config) ?cache ?(cache_warm = true) ?(jobs 
       s_cache = Option.map Plan_cache.stats cache;
     } )
 
-(* --- bounded work-queue domain pool ---------------------------------- *)
-
-(* The generic executor behind the server's concurrent request path.
-   The implementation moved to {!Milp.Work_pool} so the decomposition
-   subsystem (lib/decomp, which sits below the service layer) can solve
-   clusters on the same worker-domain machinery; the alias keeps every
-   existing caller compiling unchanged. *)
-module Pool = Milp.Work_pool
-
 let synthetic_batch ?(dup_fraction = 0.5) ~seed ~shape ~num_tables ~count () =
   if dup_fraction < 0. || dup_fraction > 1. then
     invalid_arg "Scheduler.synthetic_batch: dup_fraction must be in [0, 1]";

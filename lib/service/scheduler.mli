@@ -102,12 +102,6 @@ val run :
     [per_query_limit] caps each individual solve in seconds on top of
     whatever remains of the shared budget. *)
 
-(** Bounded work-queue domain pool — the generic executor behind the
-    server's concurrent request path, now shared with the decomposition
-    subsystem's parallel cluster solves. See {!Milp.Work_pool} for the
-    full contract; this alias keeps the service-layer name stable. *)
-module Pool = Milp.Work_pool
-
 val synthetic_batch :
   ?dup_fraction:float ->
   seed:int ->

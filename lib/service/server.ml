@@ -848,7 +848,7 @@ type job = {
 }
 
 type exec = {
-  ex_pool : job Scheduler.Pool.t;
+  ex_pool : job Milp.Work_pool.t;
   ex_mu : Mutex.t;
   ex_running : (int, job) Hashtbl.t;  (* ticket -> supervised solve *)
   mutable ex_ticket : int;
@@ -884,8 +884,8 @@ let exec_drain_begin t ex =
   Mutex.unlock ex.ex_mu;
   if fresh then begin
     locked t (fun () -> t.draining <- true);
-    let backlog = Scheduler.Pool.take_queued ex.ex_pool in
-    Scheduler.Pool.shutdown ex.ex_pool;
+    let backlog = Milp.Work_pool.take_queued ex.ex_pool in
+    Milp.Work_pool.shutdown ex.ex_pool;
     List.iter
       (fun job ->
         if
@@ -1004,7 +1004,7 @@ let watchdog_loop t ex =
 let exec_create t ~jobs =
   let ex_ref = ref None in
   let pool =
-    Scheduler.Pool.create ~jobs ~capacity:t.cfg.sv_max_queue ~work:(fun job ->
+    Milp.Work_pool.create ~jobs ~capacity:t.cfg.sv_max_queue ~work:(fun job ->
         (* [ex_ref] is published before any submit: the pool mutex pair
            (submit/pop) orders this read after the write below. *)
         match !ex_ref with
@@ -1025,8 +1025,8 @@ let exec_create t ~jobs =
   ex_ref := Some ex;
   ex.ex_watchdog <- Some (Domain.spawn (fun () -> watchdog_loop t ex));
   locked t (fun () ->
-      t.queue_depth_probe <- (fun () -> Scheduler.Pool.depth pool);
-      t.queue_hwm_probe <- (fun () -> Scheduler.Pool.high_water pool));
+      t.queue_depth_probe <- (fun () -> Milp.Work_pool.depth pool);
+      t.queue_hwm_probe <- (fun () -> Milp.Work_pool.high_water pool));
   ex
 
 (* Stop the watchdog and the pool. Worker domains are joined only when
@@ -1035,12 +1035,12 @@ let exec_create t ~jobs =
    joining it would block shutdown on exactly the fault the watchdog
    exists to survive. *)
 let exec_stop ex =
-  Scheduler.Pool.shutdown ex.ex_pool;
-  let idle = Scheduler.Pool.idle ex.ex_pool in
+  Milp.Work_pool.shutdown ex.ex_pool;
+  let idle = Milp.Work_pool.idle ex.ex_pool in
   Atomic.set ex.ex_stop true;
   (match ex.ex_watchdog with Some d -> Domain.join d | None -> ());
   ex.ex_watchdog <- None;
-  if idle then Scheduler.Pool.join ex.ex_pool
+  if idle then Milp.Work_pool.join ex.ex_pool
 
 (* --- in-process concurrent entry point -------------------------------- *)
 
@@ -1081,7 +1081,7 @@ let handle_stream t ?(client = "stream") ?jobs lines =
         jb_soft = false;
       }
     in
-    if not (Scheduler.Pool.submit ~block:true ex.ex_pool job) then begin
+    if not (Milp.Work_pool.submit ~block:true ex.ex_pool job) then begin
       (* the pool refused: a shutdown op earlier in the stream drained it *)
       locked t (fun () -> t.n_rejected_shutdown <- t.n_rejected_shutdown + 1);
       emit i (Protocol.rejected_response ~id:(id_of_line lines.(i)) "shutdown")
@@ -1270,7 +1270,7 @@ let submit_line t ex conn ~wake line =
       jb_soft = false;
     }
   in
-  if not (Scheduler.Pool.submit ex.ex_pool job) then
+  if not (Milp.Work_pool.submit ex.ex_pool job) then
     if shutdown_requested t then begin
       locked t (fun () -> t.n_rejected_shutdown <- t.n_rejected_shutdown + 1);
       sink_push t conn ~wake seq
@@ -1458,7 +1458,7 @@ let run_loop t ex ?listener initial_conns =
         (* exit conditions *)
         if draining then begin
           if
-            (Scheduler.Pool.idle ex.ex_pool && !conns = [])
+            (Milp.Work_pool.idle ex.ex_pool && !conns = [])
             || Budget.now () > !hard_deadline
           then running := false
         end

@@ -10,7 +10,7 @@
 
     {b Concurrency and supervision.} The poll loop only parses and
     admits: every admitted line is enqueued onto a bounded work queue
-    consumed by [sv_jobs] worker domains ({!Scheduler.Pool}), so a slow
+    consumed by [sv_jobs] worker domains ({!Milp.Work_pool}), so a slow
     or stalled request occupies one worker while every other connection
     keeps being served. Responses re-enter the loop through a
     per-connection ordered sink — per-connection response order and the

@@ -248,6 +248,20 @@ let test_extensions_lint_clean () =
       assert_error_clean (sn ^ "/projection") enc3.Encoding.problem)
     shapes
 
+(* Propagation rounds an integer variable's derived bound; one beyond
+   [max_int] (5e18 here) must stay itself, not wrap to a negative bound
+   that makes the second row look infeasible. *)
+let test_huge_integer_bounds () =
+  let p = Problem.create ~name:"huge" () in
+  let x = Problem.add_var p ~name:"x" ~kind:Problem.Integer ~ub:1e20 () in
+  Problem.add_constr p ~name:"cap" (Linexpr.var x) Problem.Le 5e18;
+  Problem.add_constr p ~name:"floor" (Linexpr.var x) Problem.Ge 1e18;
+  Problem.set_objective p Problem.Minimize (Linexpr.var x);
+  let r = Lint.analyze p in
+  Alcotest.(check int)
+    (Format.asprintf "no errors:@.%a" Lint.pp_report r)
+    0 (Lint.errors r)
+
 let () =
   Alcotest.run "lint"
     [
@@ -261,4 +275,6 @@ let () =
           Alcotest.test_case "extension encodings lint clean at Error severity" `Quick
             test_extensions_lint_clean;
         ] );
+      ( "propagation",
+        [ Alcotest.test_case "integer bounds beyond max_int" `Quick test_huge_integer_bounds ] );
     ]

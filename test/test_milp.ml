@@ -440,94 +440,6 @@ let gen_lp_instance =
   let* obj = list_size (return nvars) (int_range (-4) 4) in
   return { lp_nvars = nvars; lp_constrs = constrs; lp_obj = obj }
 
-let gen_lp_instance_dual = gen_lp_instance
-
-(* Depth-first node selection must reach the same optima as best-bound. *)
-let prop_bb_depth_first_matches =
-  QCheck.Test.make ~count:80 ~name:"depth-first node order matches oracle"
-    (QCheck.make gen_binary_program) (fun bp ->
-      let p, _ = problem_of_binary_program bp in
-      let params =
-        {
-          Solver.default_params with
-          Solver.cut_rounds = 0;
-          bb =
-            {
-              Branch_bound.default_params with
-              Branch_bound.node_order = Branch_bound.Depth_first;
-            };
-        }
-      in
-      let out = solve_mip ~params p in
-      match (brute_force_binary bp, out.Branch_bound.o_status) with
-      | None, Branch_bound.Infeasible -> true
-      | None, _ -> false
-      | Some _, (Branch_bound.Infeasible | Branch_bound.Unbounded | Branch_bound.Unknown) ->
-        false
-      | Some oracle, (Branch_bound.Optimal | Branch_bound.Feasible) ->
-        abs_float (get_objective out -. float_of_int oracle) < 1e-6)
-
-(* The dual-simplex warm-start path must agree with the oracle too. *)
-let prop_bb_with_dual_warm_starts =
-  QCheck.Test.make ~count:80 ~name:"branch & bound with dual warm starts matches oracle"
-    (QCheck.make gen_binary_program) (fun bp ->
-      let p, _ = problem_of_binary_program bp in
-      let params =
-        {
-          Solver.default_params with
-          Solver.cut_rounds = 0;
-          bb =
-            {
-              Branch_bound.default_params with
-              Branch_bound.simplex = { Simplex.default_params with Simplex.warm_dual = true };
-            };
-        }
-      in
-      let out = solve_mip ~params p in
-      match (brute_force_binary bp, out.Branch_bound.o_status) with
-      | None, Branch_bound.Infeasible -> true
-      | None, _ -> false
-      | Some _, (Branch_bound.Infeasible | Branch_bound.Unbounded | Branch_bound.Unknown) ->
-        false
-      | Some oracle, (Branch_bound.Optimal | Branch_bound.Feasible) ->
-        abs_float (get_objective out -. float_of_int oracle) < 1e-6)
-
-(* A direct dual-simplex exercise: solve, tighten a bound, re-solve warm
-   with the dual method, compare against a cold primal solve. *)
-let prop_dual_resolve_agrees =
-  QCheck.Test.make ~count:80 ~name:"dual warm re-solve equals cold primal solve"
-    (QCheck.make gen_lp_instance_dual) (fun inst ->
-      let p = Problem.create ~name:"dual-check" () in
-      let xs = Array.init inst.lp_nvars (fun _ -> Problem.add_var p ~ub:5. ()) in
-      List.iter
-        (fun (cs, rhs) ->
-          let e = Linexpr.of_terms (List.mapi (fun i c -> (xs.(i), float_of_int c)) cs) in
-          Problem.add_constr p e Problem.Le (float_of_int rhs))
-        inst.lp_constrs;
-      let obj = Linexpr.of_terms (List.mapi (fun i c -> (xs.(i), float_of_int c)) inst.lp_obj) in
-      Problem.set_objective p Problem.Minimize obj;
-      let sf = Stdform.of_problem p in
-      let lb, ub = Stdform.bounds sf in
-      let res0 = Simplex.solve sf ~lb ~ub in
-      match res0.Simplex.status with
-      | Simplex.Optimal ->
-        (* Tighten the first variable's upper bound below its value. *)
-        ub.(xs.(0)) <- max 0. (res0.Simplex.x.(xs.(0)) /. 2.);
-        let params = { Simplex.default_params with Simplex.warm_dual = true } in
-        let warm_res =
-          Simplex.solve ~params ~warm:(res0.Simplex.basis, res0.Simplex.vstatus) sf ~lb ~ub
-        in
-        let cold_res = Simplex.solve sf ~lb ~ub in
-        (match (warm_res.Simplex.status, cold_res.Simplex.status) with
-        | Simplex.Optimal, Simplex.Optimal ->
-          abs_float (warm_res.Simplex.objective -. cold_res.Simplex.objective)
-          <= 1e-5 *. (1. +. abs_float cold_res.Simplex.objective)
-        | Simplex.Infeasible, Simplex.Infeasible -> true
-        | _ -> false)
-      | Simplex.Unbounded -> true
-      | _ -> false)
-
-
 let prop_simplex_beats_grid =
   QCheck.Test.make ~count:150 ~name:"simplex no worse than grid search"
     (QCheck.make gen_lp_instance) (fun inst ->
@@ -1008,9 +920,6 @@ let qcheck_tests =
     [
       prop_bb_matches_brute_force;
       prop_bb_matches_general_oracle;
-      prop_bb_with_dual_warm_starts;
-      prop_bb_depth_first_matches;
-      prop_dual_resolve_agrees;
       prop_simplex_beats_grid;
       prop_presolve_preserves_optimum;
       prop_cuts_sound;

@@ -23,16 +23,6 @@ let entries =
          collide; with n >= 2 it terminates in two expected iterations, so a budget \
          poll would cost more than the loop body";
     };
-    {
-      a_code = "S201";
-      a_path = "lib/milp/branch_bound.ml";
-      a_hint = "open_min";
-      a_reason =
-        "open_min drains at most the current open-node heap looking for a live entry; \
-         the heap is finite and every popped node is discarded, so the loop is bounded \
-         by memory already allocated — the surrounding search loop polls the budget \
-         once per node";
-    };
   ]
 
 let suffix_match path suffix =

@@ -196,7 +196,7 @@ let index files =
 (* Resolve a reference [name] made inside [from_file] to candidate
    bindings. A plain lowercase name resolves within its own file; a
    dotted name resolves through any component that matches a scanned
-   file's module name ([Scheduler.Pool.submit] -> scheduler.ml's
+   file's module name ([Milp.Work_pool.submit] -> work_pool.ml's
    [submit]). Unresolvable names (stdlib, parameters) return []. *)
 let resolve ix ~from_file name =
   let comps = String.split_on_char '.' name in
