@@ -274,7 +274,6 @@ let () =
             test_workloads_lint_clean;
           Alcotest.test_case "extension encodings lint clean at Error severity" `Quick
             test_extensions_lint_clean;
+          Alcotest.test_case "integer bounds beyond max_int" `Quick test_huge_integer_bounds;
         ] );
-      ( "propagation",
-        [ Alcotest.test_case "integer bounds beyond max_int" `Quick test_huge_integer_bounds ] );
     ]
