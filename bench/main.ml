@@ -1,25 +1,22 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Tables 1-2, Figures 1-2) and runs Bechamel micro-benchmarks
-   over the steady-state kernels behind them.
+   evaluation (Tables 1-2, Figures 1-2) plus the encoding ablations and
+   the parallel branch & bound scaling table. Run-to-run timing of the
+   optimizer, the service and the decomposition pipeline is perfbench's
+   job (perfbench/, declared in BENCHMARK.json).
 
    Scale knobs (the defaults finish in a few minutes):
-     JOINOPT_BENCH_SCALE=quick    tiny figure-2 grid, short quota
+     JOINOPT_BENCH_SCALE=quick    tiny figure-2 grid, short budgets
      JOINOPT_BENCH_SCALE=default
      JOINOPT_BENCH_SCALE=paper    the paper's grid: sizes up to 60 tables
                                   and a 60 s budget per query (hours!)
 
    With --json the human-readable tables go to stderr and a machine
-   summary (per-phase wall clock, batch-service throughput, cache hit
-   rate, cached-vs-cold speedup) is printed to stdout. *)
+   summary (the scale and the per-phase wall clock) is printed to
+   stdout. *)
 
-open Bechamel
-open Toolkit
 module Experiments = Joinopt.Experiments
-module Thresholds = Joinopt.Thresholds
 module Workload = Relalg.Workload
 module Join_graph = Relalg.Join_graph
-module Scheduler = Service.Scheduler
-module Plan_cache = Service.Plan_cache
 module Json = Service.Json
 
 type scale = Quick | Default | Paper
@@ -46,71 +43,8 @@ let phase_times : (string * float) list ref = ref []
 
 let timed name f =
   let t0 = Milp.Budget.now () in
-  let r = f () in
-  phase_times := (name, Milp.Budget.now () -. t0) :: !phase_times;
-  r
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks: one Test.make per experiment kernel                *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests =
-  let q10 = Workload.generate ~seed:7 ~shape:Join_graph.Star ~num_tables:10 () in
-  let q16 = Workload.generate ~seed:7 ~shape:Join_graph.Chain ~num_tables:16 () in
-  let e10 = Relalg.Card.estimator q10 in
-  let order10 = Array.init 10 (fun i -> i) in
-  let plan10 = Relalg.Plan.of_order order10 in
-  let enc_config =
-    { Joinopt.Encoding.default_config with Joinopt.Encoding.precision = Thresholds.Medium }
-  in
-  (* A prebuilt root LP for the simplex kernel. *)
-  let enc10 = Joinopt.Encoding.build ~config:enc_config q10 in
-  let _ = Joinopt.Cost_enc.install enc10 (Joinopt.Cost_enc.Fixed_operator Relalg.Plan.Hash_join) in
-  let sf10 = Milp.Stdform.of_problem enc10.Joinopt.Encoding.problem in
-  let lb10, ub10 = Milp.Stdform.bounds sf10 in
-  Test.make_grouped ~name:"joinopt"
-    [
-      (* Figure 1 kernel: building the MILP for one query. *)
-      Test.make ~name:"fig1/encode-10-tables"
-        (Staged.stage (fun () -> ignore (Joinopt.Encoding.build ~config:enc_config q10)));
-      (* Figure 2 kernels: the pieces each optimizer run is made of. *)
-      Test.make ~name:"fig2/simplex-root-10-tables"
-        (Staged.stage (fun () -> ignore (Milp.Simplex.solve sf10 ~lb:lb10 ~ub:ub10)));
-      Test.make ~name:"fig2/selinger-dp-16-tables"
-        (Staged.stage (fun () -> ignore (Dp_opt.Selinger.optimize q16)));
-      Test.make ~name:"fig2/greedy-mip-start-10-tables"
-        (Staged.stage (fun () -> ignore (Dp_opt.Greedy.order q10)));
-      (* Cost-model kernels shared by every experiment. *)
-      Test.make ~name:"cost/plan-cost-10-tables"
-        (Staged.stage (fun () -> ignore (Relalg.Cost_model.plan_cost q10 plan10)));
-      Test.make ~name:"cost/subset-card"
-        (Staged.stage (fun () -> ignore (Relalg.Card.subset_card e10 0x2ff)));
-      (* Table 1/2 kernel: the closed-form size analysis. *)
-      Test.make ~name:"table12/size-analysis"
-        (Staged.stage (fun () -> ignore (Joinopt.Analysis.predicted q10)));
-    ]
-
-let run_micro () =
-  let quota = match scale with Quick -> 0.25 | Default -> 0.5 | Paper -> 1.0 in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances micro_tests in
-  let results = Analyze.all ols (Instance.monotonic_clock :> Measure.witness) raw in
-  printf "Micro-benchmarks (ns per run, OLS estimate):@.";
-  let rows = ref [] in
-  Hashtbl.iter (fun name ols -> rows := (name, ols) :: !rows) results;
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> printf "  %-35s %14.0f@." name est
-      | Some [] | None -> printf "  %-35s %14s@." name "-")
-    (List.sort compare !rows);
-  printf "@."
+  f ();
+  phase_times := (name, Milp.Budget.now () -. t0) :: !phase_times
 
 (* ------------------------------------------------------------------ *)
 (* Figures                                                              *)
@@ -135,94 +69,6 @@ let fig2_config () =
       f2_budget = 60.;
       f2_sample_times = [ 6.; 12.; 18.; 24.; 30.; 36.; 42.; 48.; 54.; 60. ];
     }
-
-(* ------------------------------------------------------------------ *)
-(* Warm starts: cold vs portfolio-seeded branch & bound                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Node count and time-to-first-incumbent with and without a MIP start.
-   The seeded run carries a certified incumbent from its first instant,
-   so it prunes at least as hard — warm nodes exceeding cold nodes on a
-   *completed* solve is a regression the CI smoke test guards against
-   (node counts at a time limit measure throughput, not pruning, and are
-   exempt). The instances are pinned per shape — seed and cost model — to
-   ones where incumbent *discovery* dominates the cold search: on many
-   workloads the root LP rounding already finds a greedy-quality
-   incumbent and the counts tie exactly, which would make the comparison
-   vacuous (chain under the hash cost is the extreme case — it ties on
-   every seed we tried, hence the BNL cost model there). *)
-let run_warm_start () =
-  let budget = match scale with Quick -> 2. | Default -> 5. | Paper -> 10. in
-  let num_tables = 7 in
-  printf "Warm starts (cold vs portfolio, %d tables, %gs budget):@." num_tables budget;
-  printf "%-8s %11s %11s %13s %13s %10s@." "shape" "cold nodes" "warm nodes" "cold t_inc(s)"
-    "warm t_inc(s)" "seed";
-  let first_incumbent (r : Joinopt.Optimizer.result) =
-    List.find_map
-      (fun tp ->
-        match tp.Joinopt.Optimizer.tp_objective with
-        | Some _ -> Some tp.Joinopt.Optimizer.tp_elapsed
-        | None -> None)
-      r.Joinopt.Optimizer.trace
-  in
-  let shapes =
-    [
-      ("chain", Join_graph.Chain, 8, Joinopt.Cost_enc.Fixed_operator Relalg.Plan.Block_nested_loop);
-      ("star", Join_graph.Star, 24, Joinopt.Cost_enc.Fixed_operator Relalg.Plan.Hash_join);
-      ("clique", Join_graph.Clique, 42, Joinopt.Cost_enc.Fixed_operator Relalg.Plan.Hash_join);
-    ]
-  in
-  let stop_name = function
-    | Milp.Branch_bound.Completed -> "completed"
-    | Milp.Branch_bound.Time_limit -> "time-limit"
-    | Milp.Branch_bound.Node_limit -> "node-limit"
-    | Milp.Branch_bound.Interrupted -> "interrupted"
-  in
-  let entries =
-    List.map
-      (fun (name, shape, seed, cost) ->
-        let q = Workload.generate ~seed ~shape ~num_tables () in
-        let solve policy =
-          let config =
-            { Joinopt.Optimizer.default_config with Joinopt.Optimizer.cost }
-            |> Joinopt.Optimizer.with_time_limit budget
-            |> Joinopt.Optimizer.with_warm_start_policy policy
-          in
-          Joinopt.Optimizer.optimize ~config q
-        in
-        let cold = solve Joinopt.Optimizer.Ws_off in
-        let warm = solve Joinopt.Optimizer.Ws_portfolio in
-        let seed_source =
-          match warm.Joinopt.Optimizer.seed with
-          | Some sd -> sd.Milp.Warm_start.sd_source
-          | None -> "none"
-        in
-        let fmt_t = function Some t -> Printf.sprintf "%.4f" t | None -> "-" in
-        printf "%-8s %11d %11d %13s %13s %10s@." name cold.Joinopt.Optimizer.nodes
-          warm.Joinopt.Optimizer.nodes
-          (fmt_t (first_incumbent cold))
-          (fmt_t (first_incumbent warm))
-          seed_source;
-        let json_t = function Some t -> Json.Float t | None -> Json.Null in
-        let json_obj = function Some o -> Json.Float o | None -> Json.Null in
-        Json.Obj
-          [
-            ("shape", Json.String name);
-            ("num_tables", Json.Int num_tables);
-            ("cold_nodes", Json.Int cold.Joinopt.Optimizer.nodes);
-            ("warm_nodes", Json.Int warm.Joinopt.Optimizer.nodes);
-            ("cold_first_incumbent", json_t (first_incumbent cold));
-            ("warm_first_incumbent", json_t (first_incumbent warm));
-            ("cold_objective", json_obj cold.Joinopt.Optimizer.objective);
-            ("warm_objective", json_obj warm.Joinopt.Optimizer.objective);
-            ("cold_stop", Json.String (stop_name cold.Joinopt.Optimizer.stopped));
-            ("warm_stop", Json.String (stop_name warm.Joinopt.Optimizer.stopped));
-            ("seed", Json.String seed_source);
-          ])
-      shapes
-  in
-  printf "@.";
-  Json.List entries
 
 (* ------------------------------------------------------------------ *)
 (* Ablations over the encoding's design choices                         *)
@@ -330,286 +176,6 @@ let run_jobs_scaling () =
     [ 1; 2; 4 ];
   printf "@."
 
-(* ------------------------------------------------------------------ *)
-(* Multi-query service throughput                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Duplicate-heavy batch through the service layer, cached --jobs 4
-   versus the cache-off sequential baseline on identical requests. The
-   speedup is reported (and asserted nowhere): it reflects the cache hit
-   rate much more than the core count, since Scheduler.run clamps its
-   domains to the runtime's recommendation. *)
-let run_batch_service () =
-  let count, num_tables, per_query =
-    match scale with
-    | Quick -> (40, 5, 2.)
-    | Default -> (200, 6, 10.)
-    | Paper -> (200, 8, 30.)
-  in
-  let requests =
-    Scheduler.synthetic_batch ~dup_fraction:0.5 ~seed:17 ~shape:Join_graph.Star
-      ~num_tables ~count ()
-  in
-  let config =
-    Joinopt.Optimizer.default_config |> Joinopt.Optimizer.with_time_limit per_query
-  in
-  printf
-    "Batch service throughput (star, %d tables, %d queries, ~50%% duplicates):@."
-    num_tables count;
-  let cache = Plan_cache.create ~capacity:256 () in
-  let _, cached =
-    Scheduler.run ~config ~cache ~jobs:4 ~per_query_limit:per_query requests
-  in
-  let _, cold = Scheduler.run ~config ~jobs:1 ~per_query_limit:per_query requests in
-  let hit_rate =
-    match cached.Scheduler.s_cache with
-    | Some c when c.Plan_cache.st_hits + c.Plan_cache.st_misses > 0 ->
-      float_of_int c.Plan_cache.st_hits
-      /. float_of_int (c.Plan_cache.st_hits + c.Plan_cache.st_misses)
-    | Some _ | None -> 0.
-  in
-  let speedup =
-    if cached.Scheduler.s_elapsed > 0. then
-      cold.Scheduler.s_elapsed /. cached.Scheduler.s_elapsed
-    else 0.
-  in
-  printf "%-28s %10s %10s %8s %8s@." "configuration" "seconds" "q/s" "solved"
-    "hits";
-  printf "%-28s %10.2f %10.1f %8d %8d@."
-    (Printf.sprintf "cached, jobs 4 (%d domain)" cached.Scheduler.s_domains)
-    cached.Scheduler.s_elapsed cached.Scheduler.s_qps cached.Scheduler.s_solved
-    cached.Scheduler.s_cache_hits;
-  printf "%-28s %10.2f %10.1f %8d %8d@." "cache off, sequential"
-    cold.Scheduler.s_elapsed cold.Scheduler.s_qps cold.Scheduler.s_solved
-    cold.Scheduler.s_cache_hits;
-  printf "cache hit rate %.0f%%, speedup %.2fx@.@." (100. *. hit_rate) speedup;
-  Json.Obj
-    [
-      ("queries", Json.Int count);
-      ("num_tables", Json.Int num_tables);
-      ("dup_fraction", Json.Float 0.5);
-      ("domains", Json.Int cached.Scheduler.s_domains);
-      ("cached_elapsed", Json.Float cached.Scheduler.s_elapsed);
-      ("cached_queries_per_sec", Json.Float cached.Scheduler.s_qps);
-      ("cold_elapsed", Json.Float cold.Scheduler.s_elapsed);
-      ("cold_queries_per_sec", Json.Float cold.Scheduler.s_qps);
-      ("cache_hits", Json.Int cached.Scheduler.s_cache_hits);
-      ("shared_in_flight", Json.Int cached.Scheduler.s_shared);
-      ("cache_hit_rate", Json.Float hit_rate);
-      ("speedup", Json.Float speedup);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Decomposition: partitioned MILP past the monolithic ceiling          *)
-(* ------------------------------------------------------------------ *)
-
-(* A pinned clustered instance far past the 62-table monolithic ceiling,
-   solved by the partitioned pipeline (cluster MILPs under budget
-   slices, seam stitching) against a time-limited annealing baseline on
-   the same mask-free cost model. Reported, never asserted here: the
-   stitch-quality factor is pinned by test_decomp's 120-table
-   differential; the bench records the actual ratio alongside cluster
-   certification counts and wall clock. *)
-let run_decomposition () =
-  let num_clusters, cluster_size, budget, anneal_limit =
-    match scale with
-    | Quick -> (10, 10, 8., 2.)
-    | Default -> (12, 10, 20., 5.)
-    | Paper -> (16, 12, 60., 15.)
-  in
-  let q = Workload.generate_clustered ~seed:42 ~num_clusters ~cluster_size () in
-  let n = Relalg.Query.num_tables q in
-  let config =
-    Joinopt.Optimizer.default_config
-    |> Joinopt.Optimizer.with_decomp
-         {
-           Joinopt.Optimizer.dc_policy = Joinopt.Optimizer.Dc_force;
-           dc_threshold = 3;
-           dc_max_cluster = cluster_size;
-           dc_seam = Joinopt.Optimizer.Seam_ikkbz;
-         }
-    |> Joinopt.Optimizer.with_time_limit budget
-  in
-  printf
-    "Decomposition (clustered, %d tables in %d clusters of %d, %gs budget, vs %gs annealing):@."
-    n num_clusters cluster_size budget anneal_limit;
-  let r = Decomp.Decompose.optimize ~config ~jobs:4 q in
-  let certified =
-    Array.fold_left
-      (fun acc cr -> if cr.Decomp.Decompose.cr_certified then acc + 1 else acc)
-      0 r.Decomp.Decompose.d_clusters
-  in
-  let degraded =
-    Array.fold_left
-      (fun acc cr -> if cr.Decomp.Decompose.cr_degraded then acc + 1 else acc)
-      0 r.Decomp.Decompose.d_clusters
-  in
-  let wide order = Decomp.Wide_cost.plan_cost q (Relalg.Plan.of_order order) in
-  let baseline =
-    Dp_opt.Annealing.iterative_improvement ~cost:wide ~seed:7 ~restarts:2
-      ~time_limit:anneal_limit q
-  in
-  let ratio =
-    if baseline.Dp_opt.Annealing.cost > 0. then
-      r.Decomp.Decompose.d_true_cost /. baseline.Dp_opt.Annealing.cost
-    else 0.
-  in
-  printf "  stitched (seam %s%s): %.4g true cost in %.2fs; %d/%d clusters certified, %d degraded@."
-    r.Decomp.Decompose.d_seam
-    (if r.Decomp.Decompose.d_seam_fallback then ", fallback" else "")
-    r.Decomp.Decompose.d_true_cost r.Decomp.Decompose.d_elapsed certified
-    r.Decomp.Decompose.d_num_clusters degraded;
-  printf "  annealing baseline: %.4g true cost (%d moves, %d restarts)@."
-    baseline.Dp_opt.Annealing.cost baseline.Dp_opt.Annealing.moves_tried
-    baseline.Dp_opt.Annealing.restarts;
-  printf "  stitched/baseline cost ratio %.3f@.@." ratio;
-  Json.Obj
-    [
-      ("num_tables", Json.Int n);
-      ("num_clusters", Json.Int r.Decomp.Decompose.d_num_clusters);
-      ("cluster_size", Json.Int cluster_size);
-      ("budget", Json.Float budget);
-      ("seam", Json.String r.Decomp.Decompose.d_seam);
-      ("seam_fallback", Json.Bool r.Decomp.Decompose.d_seam_fallback);
-      ("clusters_certified", Json.Int certified);
-      ("clusters_degraded", Json.Int degraded);
-      ("stitched_true_cost", Json.Float r.Decomp.Decompose.d_true_cost);
-      ("stitched_elapsed", Json.Float r.Decomp.Decompose.d_elapsed);
-      ("annealing_true_cost", Json.Float baseline.Dp_opt.Annealing.cost);
-      ("annealing_time_limit", Json.Float anneal_limit);
-      ("cost_ratio_vs_annealing", Json.Float ratio);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Server request loop latency/throughput                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The persistent server driven in process through [handle_stream] — the
-   whole concurrent request path (JSON parse, admission, bounded work
-   queue, worker domains, watchdog, cache, solve, response rendering)
-   minus the kernel socket, on a duplicate-heavy request mix. Each
-   request carries a small injected handler stall (the [Faults] slow-
-   handler hook), standing in for the non-CPU latency real handlers have
-   — the component concurrency can overlap even on one core. The same
-   mix runs twice: one worker (the sequential baseline) and four. *)
-let run_server_loop () =
-  let count, num_tables, per_query =
-    match scale with
-    | Quick -> (60, 5, 2.)
-    | Default -> (300, 6, 5.)
-    | Paper -> (500, 8, 10.)
-  in
-  let stall = 0.002 in
-  let requests =
-    Scheduler.synthetic_batch ~dup_fraction:0.5 ~seed:23 ~shape:Join_graph.Star
-      ~num_tables ~count ()
-  in
-  let lines =
-    List.mapi
-      (fun i r ->
-        Json.to_string ~indent:false
-          (Json.Obj
-             [
-               ("op", Json.String "optimize");
-               ("id", Json.Int i);
-               ("query", Json.String (Relalg.Query_file.to_string r.Scheduler.r_query));
-               ("budget", Json.Float per_query);
-             ]))
-      requests
-  in
-  (* Warm-up set: each distinct query text once (the cache itself keys by
-     canonical fingerprint, so permuted duplicates warm each other).  Both
-     phases pre-populate the cache with these, untimed, so the timed mix
-     exercises the serving machinery — parse, queue, dispatch, ordered
-     response routing, the injected handler stall — rather than solver CPU
-     time, which a single-core box cannot parallelise. *)
-  let warmup_lines =
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun r ->
-        let q = Relalg.Query_file.to_string r.Scheduler.r_query in
-        if Hashtbl.mem seen q then false
-        else begin
-          Hashtbl.add seen q ();
-          true
-        end)
-      requests
-    |> List.mapi (fun i r ->
-           Json.to_string ~indent:false
-             (Json.Obj
-                [
-                  ("op", Json.String "optimize");
-                  ("id", Json.String (Printf.sprintf "warm-%d" i));
-                  ("query", Json.String (Relalg.Query_file.to_string r.Scheduler.r_query));
-                  ("budget", Json.Float per_query);
-                ]))
-  in
-  let fresh_server ~jobs =
-    Service.Server.create
-      ~config:
-        {
-          Service.Server.default_config with
-          Service.Server.sv_rate = 0.;
-          sv_burst = 0.;
-          (* admission off: this measures the serving path *)
-          sv_max_queue = count + 1;
-          sv_default_limit = per_query;
-          sv_jobs = jobs;
-        }
-      ()
-  in
-  let run_phase ~jobs =
-    let server = fresh_server ~jobs in
-    ignore (Service.Server.handle_stream server ~jobs:1 warmup_lines);
-    let t0 = Milp.Budget.now () in
-    let result =
-      Milp.Faults.with_plan
-        { Milp.Faults.none with Milp.Faults.f_request_stall = stall }
-        (fun () -> Service.Server.handle_stream server lines)
-    in
-    let elapsed = Milp.Budget.now () -. t0 in
-    let lat = Array.copy result.Service.Server.sr_latencies in
-    Array.sort compare lat;
-    let pct p =
-      lat.(min (Array.length lat - 1) (int_of_float (p *. float_of_int (Array.length lat))))
-    in
-    let qps = if elapsed > 0. then float_of_int count /. elapsed else 0. in
-    printf "  jobs %d: %.2fs total, %.1f req/s; latency p50 %.2gms p95 %.2gms max %.2gms@."
-      jobs elapsed qps (1000. *. pct 0.50) (1000. *. pct 0.95)
-      (1000. *. lat.(Array.length lat - 1));
-    let json =
-      Json.Obj
-        [
-          ("jobs", Json.Int jobs);
-          ("elapsed", Json.Float elapsed);
-          ("requests_per_sec", Json.Float qps);
-          ("latency_p50", Json.Float (pct 0.50));
-          ("latency_p95", Json.Float (pct 0.95));
-          ("latency_max", Json.Float lat.(Array.length lat - 1));
-        ]
-    in
-    (json, qps, Service.Server.stats_json server)
-  in
-  printf
-    "Server loop (star, %d tables, %d requests, ~50%% duplicates, warm cache, %gms handler stall):@."
-    num_tables count (1000. *. stall);
-  let seq_json, seq_qps, _ = run_phase ~jobs:1 in
-  let conc_json, conc_qps, conc_stats = run_phase ~jobs:4 in
-  let speedup = if seq_qps > 0. then conc_qps /. seq_qps else 0. in
-  printf "  concurrent speedup %.2fx@.@." speedup;
-  Json.Obj
-    [
-      ("requests", Json.Int count);
-      ("warmup_requests", Json.Int (List.length warmup_lines));
-      ("num_tables", Json.Int num_tables);
-      ("dup_fraction", Json.Float 0.5);
-      ("handler_stall_ms", Json.Float (1000. *. stall));
-      ("sequential", seq_json);
-      ("concurrent", conc_json);
-      ("speedup", Json.Float speedup);
-      ("stats", conc_stats);
-    ]
-
 let () =
   timed "tables_1_2" (fun () ->
       printf "%a@." Experiments.pp_table1 ();
@@ -617,13 +183,8 @@ let () =
   timed "figure_1" (fun () ->
       let fig1 = Experiments.figure1 () in
       printf "%a@." Experiments.pp_figure1 fig1);
-  timed "micro" run_micro;
-  let warm_json = timed "warm_start" run_warm_start in
   timed "ablations" run_ablations;
   timed "jobs_scaling" run_jobs_scaling;
-  let batch_json = timed "batch_service" run_batch_service in
-  let decomp_json = timed "decomposition" run_decomposition in
-  let server_json = timed "server_loop" run_server_loop in
   timed "figure_2" (fun () ->
       let config = fig2_config () in
       printf
@@ -644,10 +205,6 @@ let () =
           );
           ( "phases",
             Json.Obj (List.rev_map (fun (n, t) -> (n, Json.Float t)) !phase_times) );
-          ("warm_start", warm_json);
-          ("batch_service", batch_json);
-          ("decomposition", decomp_json);
-          ("server_loop", server_json);
         ]
     in
     print_string (Json.to_string summary);

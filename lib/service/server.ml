@@ -1044,18 +1044,11 @@ let exec_stop ex =
 
 (* --- in-process concurrent entry point -------------------------------- *)
 
-type stream_result = {
-  sr_responses : string list;
-  sr_latencies : float array;
-}
-
 let handle_stream t ?(client = "stream") ?jobs lines =
   let jobs = match jobs with Some j -> j | None -> t.cfg.sv_jobs in
   let lines = Array.of_list lines in
   let n = Array.length lines in
   let responses = Array.make n "" in
-  let starts = Array.make n 0. in
-  let latencies = Array.make n 0. in
   let mu = Mutex.create () in
   let cond = Condition.create () in
   let completed = ref 0 in
@@ -1063,13 +1056,11 @@ let handle_stream t ?(client = "stream") ?jobs lines =
   let emit i resp =
     Mutex.lock mu;
     responses.(i) <- resp;
-    latencies.(i) <- Budget.now () -. starts.(i);
     incr completed;
     Condition.signal cond;
     Mutex.unlock mu
   in
   for i = 0 to n - 1 do
-    starts.(i) <- Budget.now ();
     let job =
       {
         jb_line = lines.(i);
@@ -1093,7 +1084,7 @@ let handle_stream t ?(client = "stream") ?jobs lines =
   done;
   Mutex.unlock mu;
   exec_stop ex;
-  { sr_responses = Array.to_list responses; sr_latencies = latencies }
+  Array.to_list responses
 
 (* --- connection transport --------------------------------------------- *)
 

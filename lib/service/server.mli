@@ -129,23 +129,16 @@ val handle_batch : t -> ?client:string -> string list -> string list
     ["overload:queue"] before any processing, exactly as the poll loop
     treats a burst of input. Responses come back in request order. *)
 
-type stream_result = {
-  sr_responses : string list;
-      (** one response per input line, in input order *)
-  sr_latencies : float array;
-      (** submit-to-answer seconds, same order *)
-}
-
 val handle_stream :
-  t -> ?client:string -> ?jobs:int -> string list -> stream_result
+  t -> ?client:string -> ?jobs:int -> string list -> string list
 (** Run a batch of request lines through the full concurrent executor —
     bounded work queue, [jobs] worker domains (default [sv_jobs]),
     watchdog supervision — without any transport, blocking submission
-    when the queue is full instead of rejecting. Benchmarks and
-    concurrency tests use this to exercise exactly the machinery behind
-    {!serve_fds}/{!serve_socket} in process. A [shutdown] op inside the
-    stream drains the executor: lines queued behind it come back
-    [rejected:shutdown]. *)
+    when the queue is full instead of rejecting; returns one response
+    per input line, in input order. Concurrency tests use this to
+    exercise exactly the machinery behind {!serve_fds}/{!serve_socket}
+    in process. A [shutdown] op inside the stream drains the executor:
+    lines queued behind it come back [rejected:shutdown]. *)
 
 val shutdown_requested : t -> bool
 

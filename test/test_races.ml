@@ -187,12 +187,11 @@ let stream_baseline =
 
 let scenario_server i =
   let t = Server.create ~config:server_config () in
-  let result =
+  let responses =
     with_yields
       { Faults.none with Faults.f_seed = seed + i; f_yield_every = 3 }
       (fun () -> Server.handle_stream t ~jobs:3 stream_lines)
   in
-  let responses = result.Server.sr_responses in
   if List.length responses <> List.length stream_lines then
     fail "iter %d server: %d responses for %d lines" i (List.length responses)
       (List.length stream_lines)

@@ -573,10 +573,10 @@ let test_stream_interleaving () =
       {|{"op":"ping","id":"i-8"}|};
     ]
   in
-  let result = Server.handle_stream server ~jobs:3 lines in
+  let responses = Server.handle_stream server ~jobs:3 lines in
   Alcotest.(check int)
     "one response per line" (List.length lines)
-    (List.length result.Server.sr_responses);
+    (List.length responses);
   List.iteri
     (fun i r ->
       let doc = parse_response r in
@@ -591,12 +591,12 @@ let test_stream_interleaving () =
           (Printf.sprintf "line %d id echoed" i)
           true
           (field doc "id" = Json.String (Printf.sprintf "i-%d" i)))
-    result.Server.sr_responses;
+    responses;
   (* duplicates race their originals across workers (the server has no
      in-flight dedup), so either source is legitimate — but never an
      error or a drop *)
   let hit i =
-    let doc = parse_response (List.nth result.Server.sr_responses i) in
+    let doc = parse_response (List.nth responses i) in
     str_field doc "source"
   in
   List.iter
@@ -605,7 +605,19 @@ let test_stream_interleaving () =
         (Printf.sprintf "duplicate %d served" i)
         true
         (List.mem (hit i) [ "cache-hit"; "solved" ]))
-    [ 4; 7 ]
+    [ 4; 7 ];
+  (* the counters of a clean stream balance: every accepted optimize is
+     answered once, by the solver or the cache, and the watchdog never
+     fires *)
+  let stats = Server.stats_json server in
+  let stat path = int_at path stats in
+  Alcotest.(check int) "optimizes accepted" 5 (stat [ "admission"; "accepted" ]);
+  Alcotest.(check int) "bad lines counted malformed" 2 (stat [ "admission"; "malformed" ]);
+  Alcotest.(check int)
+    "accepted optimizes answered once" 5
+    (stat [ "answers"; "solved" ] + stat [ "answers"; "cache_hits" ]);
+  Alcotest.(check int) "no watchdog kill" 0 (stat [ "supervision"; "watchdog_kills" ]);
+  Alcotest.(check int) "no late response" 0 (stat [ "supervision"; "late_responses" ])
 
 (* The regression the refactor exists for: an injected per-request stall
    used to freeze the whole select loop; now it burns one worker while
@@ -615,7 +627,7 @@ let test_stall_isolation () =
   let server = Server.create ~config:test_config () in
   let lines = List.init 6 (fun i -> Printf.sprintf {|{"op":"ping","id":"st-%d"}|} i) in
   let t0 = Milp.Budget.now () in
-  let result =
+  let responses =
     Faults.with_plan
       { Faults.none with Faults.f_request_stall = 0.2 }
       (fun () -> Server.handle_stream server ~jobs:3 lines)
@@ -623,7 +635,7 @@ let test_stall_isolation () =
   let elapsed = Milp.Budget.now () -. t0 in
   List.iter
     (fun r -> Alcotest.(check string) "stalled ping answered" "ok" (status (parse_response r)))
-    result.Server.sr_responses;
+    responses;
   (* serial execution would need 6 * 0.2 = 1.2s; 3 workers need ~0.4s *)
   Alcotest.(check bool)
     (Printf.sprintf "stalls overlap across workers (%.2fs)" elapsed)
@@ -637,12 +649,12 @@ let test_watchdog_kills_wedged () =
     Server.create ~config:{ test_config with Server.sv_watchdog_grace = 0.05 } ()
   in
   let line = optimize_line ~id:"wedged" ~budget:0.05 (query 63) in
-  let result =
+  let responses =
     Faults.with_plan
       { Faults.none with Faults.f_wedge_after = 1; f_wedge_seconds = 2. }
       (fun () -> Server.handle_stream server ~jobs:1 [ line ])
   in
-  (match result.Server.sr_responses with
+  (match responses with
   | [ r ] ->
     let doc = parse_response r in
     Alcotest.(check string) "watchdog answers with an error" "error" (status doc);
@@ -673,8 +685,8 @@ let test_stream_shutdown_drain () =
       optimize_line ~id:"d-3" q;
     ]
   in
-  let result = Server.handle_stream server ~jobs:1 lines in
-  (match result.Server.sr_responses with
+  let responses = Server.handle_stream server ~jobs:1 lines in
+  (match responses with
   | [ a; s; b; c ] ->
     Alcotest.(check string) "pre-shutdown optimize served" "ok" (status (parse_response a));
     Alcotest.(check string) "shutdown acknowledged" "ok" (status (parse_response s));

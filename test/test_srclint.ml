@@ -17,7 +17,10 @@
       when the source tree is reachable from the test cwd.
 
    3. Lexer hardening: quoted-string ids with digits/underscores, tab
-      whitespace and the linear [contains]. *)
+      whitespace and the linear [contains].
+
+   4. Command line: a mistyped flag or a root with nothing to scan exits
+      2 instead of reporting a vacuous clean run. *)
 
 module Lexer = Srclint.Lexer
 module Engine = Srclint.Engine
@@ -59,6 +62,14 @@ let scenarios =
         ("server_emit.ml.fx", "lib/service/server.ml");
       ],
       Some "protocol_docs.md" );
+    ( "source",
+      [
+        ("source_cost.ml.fx", "lib/core/cost_enc.ml");
+        ("source_service.ml.fx", "lib/service/fx_source.ml");
+        ("source_budget.ml.fx", "lib/milp/budget.ml");
+        ("source_server.ml.fx", "lib/service/server.ml");
+      ],
+      None );
   ]
 
 let analyze_scenario (_, files, doc) =
@@ -230,6 +241,22 @@ let test_contains () =
   Alcotest.(check bool) "empty needle" true (Lexer.contains "x" "");
   Alcotest.(check bool) "needle longer than hay" false (Lexer.contains "ab" "abc")
 
+(* ------------------------------------------------------------------ *)
+(* 4. Command line                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The built analyzer, a declared dependency of this test. *)
+let srclint_exe = "../tool/srclint_main.exe"
+
+let exit_code args =
+  Sys.command
+    (Filename.quote_command srclint_exe ~stdout:Filename.null ~stderr:Filename.null args)
+
+let test_usage_errors () =
+  Alcotest.(check int) "unknown flag exits 2" 2 (exit_code [ "--jsn" ]);
+  Alcotest.(check int) "missing root exits 2" 2 (exit_code [ "/nonexistent" ]);
+  Alcotest.(check int) "root with no .ml file exits 2" 2 (exit_code [ fixture_dir ])
+
 let () =
   Alcotest.run "srclint"
     [
@@ -247,4 +274,5 @@ let () =
           Alcotest.test_case "tab whitespace" `Quick test_tab_whitespace;
           Alcotest.test_case "linear contains" `Quick test_contains;
         ] );
+      ("cli", [ Alcotest.test_case "usage errors exit 2" `Quick test_usage_errors ]);
     ]

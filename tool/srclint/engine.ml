@@ -8,7 +8,9 @@
    the report instead of vanishing. *)
 
 let passes : (Ctx.t -> unit) list =
-  [ Pass_concurrency.run; Pass_budget.run; Pass_meta.run; Pass_protocol.run ]
+  [
+    Pass_concurrency.run; Pass_budget.run; Pass_meta.run; Pass_protocol.run; Pass_source.run;
+  ]
 
 let analyze ?(use_allowlist = true) ?(docs = []) sources =
   let files = List.map (fun (path, src) -> Model.load path src) sources in
@@ -67,7 +69,7 @@ let analyze ?(use_allowlist = true) ?(docs = []) sources =
 
 (* --- repo walking ------------------------------------------------------ *)
 
-let roots = [ "lib"; "bin"; "bench"; "tool"; "examples" ]
+let roots = [ "lib"; "bin"; "bench"; "test"; "tool"; "examples" ]
 let doc_files = [ "README.md"; "DESIGN.md" ]
 
 let read_file path =

@@ -8,7 +8,10 @@
      S1xx  concurrency discipline (locks, condition waits, domains)
      S2xx  budget discipline (polls in solver loops, sub-budget scope)
      S3xx  metadata-channel coupling (joinopt.* producers vs consumers)
-     S4xx  protocol coupling (parsed vs documented vs emitted fields) *)
+     S4xx  protocol coupling (parsed vs documented vs emitted fields)
+     S5xx  source invariants (wall clock, self-seeded RNG, Obj.magic,
+           polymorphic float equality in cost paths, blocking service
+           code) *)
 
 type severity = Error | Warning | Info
 

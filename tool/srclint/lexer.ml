@@ -1,30 +1,16 @@
-(* Shared lexical layer for the repository's source analyzers.
+(* Lexical layer for the source analyzer: a positioned token stream
+   over an OCaml source file. Comments are skipped, so doc references to
+   forbidden names never trip a rule; string literal contents are *kept*
+   as [Str] tokens, because the passes need both identifier structure
+   (dotted paths like [Mutex.lock]) and literal keys ("joinopt.tables",
+   protocol field names) — an identifier inside a string is never an
+   [Ident].
 
-   Two views of an OCaml source file, built from one delimiter scanner:
-
-   - {!strip} blanks comments, string/char literals and quoted strings
-     while preserving newlines — the line-oriented rules (repo_lint's
-     R1–R5) match against the result so doc references to forbidden
-     names never trip them.
-   - {!tokens} produces a positioned token stream that *keeps* string
-     literal contents — the srclint passes need both identifier
-     structure (dotted paths like [Mutex.lock]) and literal keys
-     ("joinopt.tables", protocol field names).
-
-   Hardened over the original repo_lint scanner: quoted-string
-   delimiters [{id|…|id}] accept underscores and digits in the id, not
-   just lowercase letters, and whitespace means spaces *and* tabs — a
-   tab could previously defeat the float-comparison rule. *)
+   Quoted-string delimiters [{id|…|id}] accept underscores and digits in
+   the id, not just lowercase letters, and whitespace means spaces *and*
+   tabs — a tab must not defeat the float-comparison rule. *)
 
 let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
-
-let skip_spaces line i =
-  let n = String.length line in
-  let j = ref i in
-  while !j < n && is_space line.[!j] do
-    incr j
-  done;
-  !j
 
 (* [matches_at s i sub]: does [sub] occur in [s] starting at [i]?
    Allocation-free (the original sliced a fresh string per probe). *)
@@ -73,101 +59,6 @@ let contains s sub =
   end
 
 let is_quoted_id c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_'
-
-(* Blank out comments (nested), string literals (both ".." and {x|..|x})
-   and char literals, preserving newlines so line numbers survive. *)
-let strip src =
-  let n = String.length src in
-  let out = Bytes.of_string src in
-  let blank i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
-  let i = ref 0 in
-  let comment_depth = ref 0 in
-  while !i < n do
-    let c = src.[!i] in
-    if !comment_depth > 0 then begin
-      if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
-        incr comment_depth;
-        blank !i;
-        blank (!i + 1);
-        i := !i + 2
-      end
-      else if c = '*' && !i + 1 < n && src.[!i + 1] = ')' then begin
-        decr comment_depth;
-        blank !i;
-        blank (!i + 1);
-        i := !i + 2
-      end
-      else begin
-        blank !i;
-        incr i
-      end
-    end
-    else if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      incr comment_depth;
-      blank !i;
-      blank (!i + 1);
-      i := !i + 2
-    end
-    else if c = '"' then begin
-      blank !i;
-      incr i;
-      let fin = ref false in
-      while (not !fin) && !i < n do
-        if src.[!i] = '\\' && !i + 1 < n then begin
-          blank !i;
-          blank (!i + 1);
-          i := !i + 2
-        end
-        else if src.[!i] = '"' then begin
-          blank !i;
-          incr i;
-          fin := true
-        end
-        else begin
-          blank !i;
-          incr i
-        end
-      done
-    end
-    else if c = '{' && !i + 1 < n && (src.[!i + 1] = '|' || is_quoted_id src.[!i + 1])
-    then begin
-      (* possible quoted string {id|...|id} *)
-      let j = ref (!i + 1) in
-      while !j < n && is_quoted_id src.[!j] do
-        incr j
-      done;
-      if !j < n && src.[!j] = '|' then begin
-        let id = String.sub src (!i + 1) (!j - !i - 1) in
-        let close = "|" ^ id ^ "}" in
-        let stop = ref (!j + 1) in
-        let cl = String.length close in
-        while !stop + cl <= n && not (matches_at src !stop close) do
-          incr stop
-        done;
-        let last = min n (!stop + cl) in
-        for k = !i to last - 1 do
-          blank k
-        done;
-        i := last
-      end
-      else incr i
-    end
-    else if c = '\'' && !i + 2 < n && src.[!i + 1] <> '\\' && src.[!i + 2] = '\'' then begin
-      (* char literal 'x' — hides '"' from the string scanner *)
-      blank !i;
-      blank (!i + 1);
-      blank (!i + 2);
-      i := !i + 3
-    end
-    else if c = '\'' && !i + 3 < n && src.[!i + 1] = '\\' && src.[!i + 3] = '\'' then begin
-      for k = !i to !i + 3 do
-        blank k
-      done;
-      i := !i + 4
-    end
-    else incr i
-  done;
-  Bytes.to_string out
 
 (* --- token stream ---------------------------------------------------- *)
 
