@@ -593,24 +593,16 @@ let run_batch requests jobs cache_size no_cache per_query precision cost warm de
       Optimizer.max_monolithic_tables
       (String.concat ", " labels);
     exit 2);
-  (* cache mode = the scheduler's native behavior (stale-precision cache
-     entries injected as MIP starts); the other modes pin the policy and
-     turn that injection off so the answer is honestly cold/greedy/raced. *)
-  let config, cache_warm =
-    match (warm : Service.Protocol.warm_mode) with
-    | Service.Protocol.Warm_cache -> (config, true)
-    | Service.Protocol.Warm_off -> (Optimizer.with_warm_start_policy Optimizer.Ws_off config, false)
-    | Service.Protocol.Warm_greedy ->
-      (Optimizer.with_warm_start_policy Optimizer.Ws_greedy config, false)
-    | Service.Protocol.Warm_portfolio ->
-      (Optimizer.with_warm_start_policy Optimizer.Ws_portfolio config, false)
-  in
+  (* MILP solves are CPU-bound: domains beyond the core count only add
+     cross-domain GC synchronization, so the batch runs on at most
+     [Domain.recommended_domain_count ()] of them. *)
+  let domains = min jobs (max 1 (Domain.recommended_domain_count ())) in
   let cache = if no_cache then None else Some (Plan_cache.create ~capacity:cache_size ()) in
   let budget = Milp.Budget.create () in
   let reports, stats =
     Milp.Budget.with_sigint budget (fun () ->
-        Scheduler.run ~config ?cache ~cache_warm ~jobs ~budget ~per_query_limit:per_query
-          requests)
+        Scheduler.run ~config ?cache ~warm ~jobs:domains ~budget
+          ~per_query_limit:per_query requests)
   in
   let queries = List.map (fun r -> (r.Scheduler.r_label, r.Scheduler.r_query)) requests in
   let query_of_label label = List.assoc_opt label queries in
@@ -621,7 +613,8 @@ let run_batch requests jobs cache_size no_cache per_query precision cost warm de
       Format.eprintf "batch: running cache-off sequential baseline...@.";
       let _, base =
         Milp.Budget.with_sigint budget (fun () ->
-            Scheduler.run ~config ~jobs:1 ~budget ~per_query_limit:per_query requests)
+            Scheduler.run ~config ~warm ~jobs:1 ~budget ~per_query_limit:per_query
+              requests)
       in
       [
         ("baseline", json_of_stats base);

@@ -179,24 +179,16 @@ let optimize ?(config = Optimizer.default_config) ?budget ?(jobs = 1) q =
     for ci = 0 to nc - 1 do
       run ci
     done
-  else begin
-    let pool =
-      Milp.Work_pool.create ~jobs ~capacity:(max 1 nc) ~work:(fun ci ->
-          try run ci
-          with _ ->
-            reports.(ci) <-
-              Some
-                (degraded_report pt.Partition.clusters.(ci)
-                   ~why:"solver-failure:greedy" ~elapsed:0.))
-    in
-    for ci = 0 to nc - 1 do
-      ignore (Milp.Work_pool.submit ~block:true pool ci)
-    done;
-    (* The workers drain the queue before they exit, and joining them
-       publishes every report to this domain. *)
-    Milp.Work_pool.shutdown pool;
-    Milp.Work_pool.join pool
-  end;
+  else
+    Milp.Work_pool.run_all ~jobs
+      ~work:(fun ci ->
+        try run ci
+        with _ ->
+          reports.(ci) <-
+            Some
+              (degraded_report pt.Partition.clusters.(ci) ~why:"solver-failure:greedy"
+                 ~elapsed:0.))
+      (List.init nc Fun.id);
   let reports =
     Array.map
       (function

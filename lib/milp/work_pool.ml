@@ -1,9 +1,9 @@
 (* Bounded work-queue domain pool.
 
-   The generic executor behind the server's concurrent request path and
-   the decomposition subsystem's parallel cluster solves: a FIFO queue
-   with a hard capacity, consumed by a fixed set of domains. Capacity is
-   the admission boundary — a non-blocking [submit] that returns [false]
+   The generic executor behind the server's concurrent request path,
+   the batch scheduler and the decomposition subsystem's parallel
+   cluster solves: a FIFO queue with a hard capacity, consumed by a
+   fixed set of domains. Capacity is the admission boundary — a non-blocking [submit] that returns [false]
    is the caller's cue to answer "overload" instead of queueing
    unboundedly. Workers never die: [work] exceptions are swallowed (the
    callers' work closures produce their own definitive error results),
@@ -124,3 +124,11 @@ let shutdown t =
 let join t =
   List.iter Domain.join t.p_workers;
   t.p_workers <- []
+
+let run_all ~jobs ~work items =
+  let pool = create ~jobs ~capacity:(max 1 (List.length items)) ~work in
+  List.iter (fun item -> ignore (submit ~block:true pool item)) items;
+  (* The workers drain the queue before they exit, and joining them
+     publishes every effect of [work] to the caller. *)
+  shutdown pool;
+  join pool

@@ -1,6 +1,6 @@
 (** Bounded work-queue domain pool — the generic executor behind the
-    server's concurrent request path and the decomposition subsystem's
-    parallel cluster solves. A fixed set of worker domains consumes a
+    server's concurrent request path, the batch scheduler and the
+    decomposition subsystem's parallel cluster solves. A fixed set of worker domains consumes a
     FIFO queue with a hard capacity; the non-blocking {!submit}
     returning [false] is the caller's admission signal (answer
     "overload", don't queue unboundedly). Workers survive anything
@@ -41,3 +41,9 @@ val shutdown : 'a t -> unit
 
 val join : 'a t -> unit
 (** Wait for every worker domain to exit (after {!shutdown}). *)
+
+val run_all : jobs:int -> work:('a -> unit) -> 'a list -> unit
+(** One fork-join batch: a fresh pool of [jobs] workers runs [work] on
+    every item, and the call returns once all of them are done — its
+    effects are visible to the caller. As with {!create}, exceptions
+    escaping [work] are swallowed. *)

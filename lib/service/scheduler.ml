@@ -1,7 +1,4 @@
 module Optimizer = Joinopt.Optimizer
-module Cost_enc = Joinopt.Cost_enc
-module Thresholds = Joinopt.Thresholds
-module Encoding = Joinopt.Encoding
 module Budget = Milp.Budget
 module Faults = Milp.Faults
 module Query = Relalg.Query
@@ -98,32 +95,14 @@ let await_flight fl =
   Mutex.unlock fl.f_mutex;
   r
 
-let cache_key (config : Optimizer.config) fp =
-  {
-    Plan_cache.k_fingerprint = Fingerprint.digest fp;
-    k_cost = Cost_enc.spec_to_string config.Optimizer.cost;
-    k_precision =
-      Thresholds.precision_to_string config.Optimizer.encoding.Encoding.precision;
-  }
-
-let run ?(config = Optimizer.default_config) ?cache ?(cache_warm = true) ?(jobs = 1)
-    ?(oversubscribe = false) ?budget ?per_query_limit requests =
-  (* MILP solves are CPU-bound: more domains than cores only adds
-     cross-domain GC synchronization, so the requested parallelism is
-     clamped to the runtime's recommendation unless the caller insists
-     (dedup-heavy batches spend most of their time *waiting*, where
-     extra domains are harmless). *)
-  let jobs =
-    let requested = max 1 jobs in
-    if oversubscribe then requested
-    else min requested (max 1 (Domain.recommended_domain_count ()))
-  in
+let run ?(config = Optimizer.default_config) ?cache ?(warm = Protocol.Warm_cache) ?(jobs = 1)
+    ?budget ?per_query_limit requests =
+  let jobs = max 1 jobs in
   let reqs = Array.of_list requests in
   let n = Array.length reqs in
   let budget = match budget with Some b -> b | None -> Budget.create () in
   let t_start = Budget.now () in
   let results = Array.make n None in
-  let next = Atomic.make 0 in
   let solved = Atomic.make 0 in
   let cache_hits = Atomic.make 0 in
   let warm_starts = Atomic.make 0 in
@@ -132,141 +111,72 @@ let run ?(config = Optimizer.default_config) ?cache ?(cache_warm = true) ?(jobs 
   let decomposed = Atomic.make 0 in
   let clusters_solved = Atomic.make 0 in
   let seam_fallbacks = Atomic.make 0 in
+  let failed ~label ~fingerprint ~source ~elapsed msg =
+    Atomic.incr failures;
+    {
+      o_label = label;
+      o_fingerprint = fingerprint;
+      o_plan = None;
+      o_objective = None;
+      o_bound = 0.;
+      o_true_cost = None;
+      o_provenance = "error: " ^ msg;
+      o_source = source;
+      o_decomposed = false;
+      o_elapsed = elapsed;
+    }
+  in
   let fl_mutex = Mutex.create () in
   let fl_table : (string, flight) Hashtbl.t = Hashtbl.create 64 in
-  (* Solve one query cold (or warm-started from a cached sibling) under
-     its own sub-deadline of the shared budget. The solver is handed the
-     *canonical* renumbering of the query, for two reasons: the entry
-     lands in the cache in canonical numbering without translation, and —
-     more importantly — every member of a fingerprint equivalence class
-     then solves the byte-identical MILP instance, so cost *ties* break
-     the same way whether an answer was solved cold or translated from a
-     cached sibling. (The optimizer is deterministic per instance, but
-     not equivariant under renumbering.) *)
-  let solve_one ?warm _fp q =
+  (* Solve one query under its own sub-deadline of the shared budget. *)
+  let solve_one ?warm_entry rp =
     let sub = Budget.sub budget ?limit:per_query_limit () in
-    if Optimizer.should_decompose config q then begin
-      (* The decomposition path: partitioned MILP with heuristic seams.
-         The cached warm start (if any) is not consumable here — it
-         carries no MILP assignment for the global query — and the entry
-         is flagged [e_decomposed] so it is never served as exact. *)
-      let d =
-        Decomp.Decompose.optimize ~config ~budget:sub
-          (Fingerprint.canonical_query q)
-      in
+    let o = Request_path.solve ~budget:sub ~mode:warm ?warm:warm_entry rp in
+    if rp.Request_path.rp_decomposing then begin
       Atomic.incr decomposed;
-      ignore
-        (Atomic.fetch_and_add clusters_solved d.Decomp.Decompose.d_num_clusters);
-      if d.Decomp.Decompose.d_seam_fallback then Atomic.incr seam_fallbacks;
-      Ok
-        {
-          Plan_cache.e_plan = d.Decomp.Decompose.d_plan;
-          e_objective = None;
-          e_bound = 0.;
-          e_true_cost = Some d.Decomp.Decompose.d_true_cost;
-          e_provenance =
-            Printf.sprintf "decomposed:%d:%s%s%s"
-              d.Decomp.Decompose.d_num_clusters d.Decomp.Decompose.d_seam
-              (if d.Decomp.Decompose.d_seam_fallback then ":seam-fallback"
-               else "")
-              (if d.Decomp.Decompose.d_degraded then ":degraded" else "");
-          e_precision =
-            Thresholds.precision_to_string
-              config.Optimizer.encoding.Encoding.precision;
-          e_decomposed = true;
-        }
-    end
-    else begin
-      let config =
-        match warm with
-        | Some (entry : Plan_cache.entry) ->
-          (* Cached plans are already canonical, like the query we solve. *)
-          Optimizer.with_warm_start (Some entry.Plan_cache.e_plan) config
-        | None -> config
-      in
-      let r = Optimizer.optimize ~config ~budget:sub (Fingerprint.canonical_query q) in
-      match r.Optimizer.plan with
-      | Some plan ->
-        Ok
-          {
-            Plan_cache.e_plan = plan;
-            e_objective = r.Optimizer.objective;
-            e_bound = r.Optimizer.bound;
-            e_true_cost = r.Optimizer.true_cost;
-            e_provenance =
-              (match r.Optimizer.provenance with
-              | Some p -> Optimizer.provenance_to_string p
-              | None -> "none");
-            e_precision =
-              Thresholds.precision_to_string config.Optimizer.encoding.Encoding.precision;
-            e_decomposed = false;
-          }
-      | None -> Error "no plan produced within the per-query budget"
-    end
+      ignore (Atomic.fetch_and_add clusters_solved o.Request_path.so_clusters);
+      if o.Request_path.so_seam_fallback then Atomic.incr seam_fallbacks
+    end;
+    match o.Request_path.so_entry with
+    | Some entry -> Ok entry
+    | None -> Error "no plan produced within the per-query budget"
   in
   let process i =
     let req = reqs.(i) in
     let t0 = Budget.now () in
-    let fp = Fingerprint.of_query req.r_query in
-    let key = cache_key config fp in
+    let rp = Request_path.prepare config req.r_query in
+    let key = rp.Request_path.rp_key in
+    let fp = rp.Request_path.rp_fp in
     let finish source (outcome : (Plan_cache.entry, string) result) =
-      let report =
-        match outcome with
-        | Ok e ->
-          {
-            o_label = req.r_label;
-            o_fingerprint = key.Plan_cache.k_fingerprint;
-            o_plan = Some (Fingerprint.plan_of_canonical fp e.Plan_cache.e_plan);
-            o_objective = e.Plan_cache.e_objective;
-            o_bound = e.Plan_cache.e_bound;
-            o_true_cost = e.Plan_cache.e_true_cost;
-            o_provenance = e.Plan_cache.e_provenance;
-            o_source = source;
-            o_decomposed = e.Plan_cache.e_decomposed;
-            o_elapsed = Budget.now () -. t0;
-          }
-        | Error msg ->
-          Atomic.incr failures;
-          {
-            o_label = req.r_label;
-            o_fingerprint = key.Plan_cache.k_fingerprint;
-            o_plan = None;
-            o_objective = None;
-            o_bound = 0.;
-            o_true_cost = None;
-            o_provenance = "error: " ^ msg;
-            o_source = source;
-            o_decomposed = false;
-            o_elapsed = Budget.now () -. t0;
-          }
-      in
-      results.(i) <- Some report
+      results.(i) <-
+        Some
+          (match outcome with
+          | Ok e ->
+            {
+              o_label = req.r_label;
+              o_fingerprint = key.Plan_cache.k_fingerprint;
+              o_plan = Some (Fingerprint.plan_of_canonical fp e.Plan_cache.e_plan);
+              o_objective = e.Plan_cache.e_objective;
+              o_bound = e.Plan_cache.e_bound;
+              o_true_cost = e.Plan_cache.e_true_cost;
+              o_provenance = e.Plan_cache.e_provenance;
+              o_source = source;
+              o_decomposed = e.Plan_cache.e_decomposed;
+              o_elapsed = Budget.now () -. t0;
+            }
+          | Error msg ->
+            failed ~label:req.r_label ~fingerprint:key.Plan_cache.k_fingerprint ~source
+              ~elapsed:(Budget.now () -. t0) msg)
     in
     let lookup =
-      match cache with Some c -> Plan_cache.find c key | None -> Plan_cache.Miss
-    in
-    (* Honest-provenance gate: a decomposed entry answers only requests
-       that would themselves take the decomposition path; an exact
-       request falls through to a fresh solve (which then overwrites the
-       decomposed entry under the same key). *)
-    let lookup =
-      match lookup with
-      | Plan_cache.Hit e
-        when e.Plan_cache.e_decomposed
-             && not (Optimizer.should_decompose config req.r_query) ->
-        Plan_cache.Miss
-      | l -> l
+      match cache with Some c -> Request_path.lookup c rp | None -> Plan_cache.Miss
     in
     match lookup with
     | Plan_cache.Hit entry ->
       Atomic.incr cache_hits;
       finish Cache_hit (Ok entry)
-    | (Plan_cache.Stale_precision _ | Plan_cache.Miss) as lookup -> (
-      let warm =
-        match lookup with
-        | Plan_cache.Stale_precision e when cache_warm -> Some e
-        | _ -> None
-      in
+    | Plan_cache.Stale_precision _ | Plan_cache.Miss -> (
+      let warm_entry = Request_path.warm_entry warm rp lookup in
       match claim_flight fl_mutex fl_table (Plan_cache.flat_key key) with
       | Waiter fl ->
         Atomic.incr shared;
@@ -291,46 +201,28 @@ let run ?(config = Optimizer.default_config) ?cache ?(cache_warm = true) ?(jobs 
           (fun () ->
             if Faults.request_aborts () then raise Faults.Injected_abort;
             let outcome =
-              try solve_one ?warm fp req.r_query
-              with exn -> Error (Printexc.to_string exn)
+              try solve_one ?warm_entry rp with exn -> Error (Printexc.to_string exn)
             in
             (match (cache, outcome) with
             | Some c, Ok entry -> Plan_cache.add c key entry
             | _ -> ());
             publish outcome;
-            (match warm with
+            (match warm_entry with
             | Some _ -> Atomic.incr warm_starts
             | None -> Atomic.incr solved);
-            finish (if warm <> None then Warm_started else Solved) outcome))
+            finish (if warm_entry <> None then Warm_started else Solved) outcome))
   in
-  let rec worker () =
-    let i = Atomic.fetch_and_add next 1 in
-    if i < n then begin
-      (try process i
-       with exn ->
-         (* Never let a worker die silently: record the failure and move
-            on so the batch (and any waiters on other keys) completes. *)
-         Atomic.incr failures;
-         results.(i) <-
-           Some
-             {
-               o_label = reqs.(i).r_label;
-               o_fingerprint = "";
-               o_plan = None;
-               o_objective = None;
-               o_bound = 0.;
-               o_true_cost = None;
-               o_provenance = "error: " ^ Printexc.to_string exn;
-               o_source = Solved;
-               o_decomposed = false;
-               o_elapsed = 0.;
-             });
-      worker ()
-    end
+  let work i =
+    (* Never lose a request silently: record the failure so the batch
+       (and any waiters on other keys) completes. *)
+    try process i
+    with exn ->
+      results.(i) <-
+        Some
+          (failed ~label:reqs.(i).r_label ~fingerprint:"" ~source:Solved ~elapsed:0.
+             (Printexc.to_string exn))
   in
-  let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join domains;
+  Milp.Work_pool.run_all ~jobs ~work (List.init n Fun.id);
   let elapsed = Budget.now () -. t_start in
   let reports =
     Array.to_list

@@ -2,14 +2,16 @@
 
     [run] pulls requests from a batch, deduplicates them through
     canonical fingerprints, and fans the remaining solves out across
-    OCaml 5 domains, all under one shared {!Milp.Budget.t}:
+    the worker domains of a {!Milp.Work_pool}, all under one shared
+    {!Milp.Budget.t}. The cache key, lookup, warm start and solve are
+    {!Request_path}'s, the same the server uses:
 
     - an exact cache hit (same fingerprint, cost spec and precision)
       returns the cached certified plan — translated into the request's
       own table numbering — without touching the solver;
     - a stale-precision hit (same fingerprint and cost, different
       precision) re-solves with the cached plan injected as the MIP
-      start instead of the greedy seed ({!Joinopt.Optimizer.config.warm_start});
+      start instead of the greedy seed, under the [Warm_cache] mode;
     - identical fingerprints *in flight* are solved once: the second
       arrival blocks on the first solve's completion and shares its
       result instead of duplicating the work;
@@ -60,7 +62,7 @@ type report = {
 
 type stats = {
   s_queries : int;
-  s_domains : int;  (** effective scheduler domains after clamping *)
+  s_domains : int;  (** scheduler worker domains ([max 1 jobs]) *)
   s_solved : int;  (** cold solves *)
   s_cache_hits : int;
   s_warm_starts : int;
@@ -78,29 +80,24 @@ type stats = {
 val run :
   ?config:Joinopt.Optimizer.config ->
   ?cache:Plan_cache.t ->
-  ?cache_warm:bool ->
+  ?warm:Protocol.warm_mode ->
   ?jobs:int ->
-  ?oversubscribe:bool ->
   ?budget:Milp.Budget.t ->
   ?per_query_limit:float ->
   request list ->
   report list * stats
-(** Reports come back in request order. [jobs] (default 1) is the
-    requested number of scheduler domains; because MILP solves are
-    CPU-bound, the effective count (reported in {!stats.s_domains}) is
-    clamped to [Domain.recommended_domain_count ()] unless
-    [oversubscribe] is set — oversubscribing CPU-bound domains only buys
-    cross-domain GC synchronization, but is useful when most requests
-    dedup against in-flight solves (waiters sleep) and in tests that
-    must exercise the in-flight path on small machines. [cache = None]
-    disables caching (every request is solved — the differential
-    baseline); [cache_warm] (default [true]) controls whether a
-    stale-precision cache entry is injected as the MIP start — with it
-    off such requests solve under [config]'s own warm-start policy and
-    are reported as {!Solved}; [budget] defaults to an unlimited fresh
-    budget;
-    [per_query_limit] caps each individual solve in seconds on top of
-    whatever remains of the shared budget. *)
+(** Reports come back in request order. [jobs] (default 1) worker
+    domains of a {!Milp.Work_pool} drain the batch; the count is used as
+    given (reported in {!stats.s_domains}), so a caller that wants it
+    bounded by the core count clamps it itself. [cache = None] disables
+    caching (every request is solved — the differential baseline).
+    [warm] (default [Warm_cache]) is every request's warm-start mode,
+    exactly as a server request's [warm_start] field: [Warm_cache]
+    injects a stale-precision entry as the MIP start (reported
+    {!Warm_started}) and otherwise keeps [config]'s policy; the other
+    modes force their policy and never inject. [budget] defaults to an
+    unlimited fresh budget; [per_query_limit] caps each individual solve
+    in seconds on top of whatever remains of the shared budget. *)
 
 val synthetic_batch :
   ?dup_fraction:float ->

@@ -1,7 +1,6 @@
 module Optimizer = Joinopt.Optimizer
 module Cost_enc = Joinopt.Cost_enc
 module Thresholds = Joinopt.Thresholds
-module Encoding = Joinopt.Encoding
 module Budget = Milp.Budget
 module Faults = Milp.Faults
 module Plan = Relalg.Plan
@@ -273,56 +272,20 @@ let admit t client =
 
 (* --- the optimize path ---------------------------------------------- *)
 
-let cache_key (config : Optimizer.config) fp =
-  {
-    Plan_cache.k_fingerprint = Fingerprint.digest fp;
-    k_cost = Cost_enc.spec_to_string config.Optimizer.cost;
-    k_precision =
-      Thresholds.precision_to_string config.Optimizer.encoding.Encoding.precision;
-  }
-
-let entry_of_result config (r : Optimizer.result) plan =
-  {
-    Plan_cache.e_plan = plan;
-    e_objective = r.Optimizer.objective;
-    e_bound = r.Optimizer.bound;
-    e_true_cost = r.Optimizer.true_cost;
-    e_provenance =
-      (match r.Optimizer.provenance with
-      | Some p -> Optimizer.provenance_to_string p
-      | None -> "none");
-    e_precision =
-      Thresholds.precision_to_string config.Optimizer.encoding.Encoding.precision;
-    e_decomposed = false;
-  }
-
 (* One exact attempt; raises on injected aborts and transient crashes,
    which the retry ladder above it absorbs. *)
-let attempt_exact config budget ~mode ?warm fp q =
-  ignore fp;
+let attempt_exact budget ~mode ?warm rp =
   if Faults.request_aborts () then raise Faults.Injected_abort;
-  let config =
-    match (mode : Protocol.warm_mode) with
-    | Protocol.Warm_off -> Optimizer.with_warm_start_policy Optimizer.Ws_off config
-    | Protocol.Warm_greedy -> Optimizer.with_warm_start_policy Optimizer.Ws_greedy config
-    | Protocol.Warm_portfolio -> Optimizer.with_warm_start_policy Optimizer.Ws_portfolio config
-    | Protocol.Warm_cache -> (
-      (* A translated plan-cache entry for the same canonical query beats
-         re-running heuristics; with no entry the greedy default stands. *)
-      match (warm : Plan_cache.entry option) with
-      | Some entry -> Optimizer.with_warm_start (Some entry.Plan_cache.e_plan) config
-      | None -> config)
-  in
-  Optimizer.optimize ~config ~budget (Fingerprint.canonical_query q)
+  Request_path.solve ~budget ~mode ?warm rp
 
 (* Exact solve under the request budget with retry/backoff: attempt
    [1 + sv_retries] times while budget remains, pausing [sv_backoff *
    2^i] between attempts (capped by the remaining budget). This and the
    poll loop are the only places in lib/service allowed to block
-   outside Budget/condition variables — the repo linter enforces it. *)
-let solve_with_retries t config request_budget ~mode ?warm fp q =
+   outside Budget/condition variables — srclint's S505 enforces it. *)
+let solve_with_retries t request_budget ~mode ?warm rp =
   let rec go attempt backoff =
-    match attempt_exact config (Budget.sub request_budget ()) ~mode ?warm fp q with
+    match attempt_exact (Budget.sub request_budget ()) ~mode ?warm rp with
     | r -> Ok r
     | exception exn ->
       if attempt >= t.cfg.sv_retries || Budget.exhausted request_budget then
@@ -379,10 +342,13 @@ let answer_of_entry fp source degraded (e : Plan_cache.entry) =
     a_true_cost = e.Plan_cache.e_true_cost;
   }
 
-(* Serve one admitted optimize request through the ladder.
+(* Serve one admitted optimize request through the ladder. The cache
+   key, lookup, warm start and solve are {!Request_path}'s, shared with
+   the batch scheduler; what stays here is the server's policy around
+   them — retries, strikes, degraded mode and supervision.
 
    [watch] is the supervision hook: called with the request's (isolated)
-   budget and deadline when the exact solve starts, returning the
+   budget and deadline when a solve starts, returning the
    unregister thunk. The executor's watchdog uses it to cancel — and
    eventually force-answer — a request that blows past its deadline;
    the synchronous [handle_line] path passes a no-op. *)
@@ -403,11 +369,11 @@ let optimize_answer t ~watch (p : Protocol.optimize_params) =
   let config = Optimizer.with_time_limit limit config in
   let q = p.Protocol.p_query in
   let mode = Option.value ~default:t.cfg.sv_warm p.Protocol.p_warm in
-  let decomposing = Optimizer.should_decompose config q in
-  let fp = Fingerprint.of_query q in
-  let key = cache_key config fp in
-  let degraded_fallback warm =
-    match warm with
+  let rp = Request_path.prepare config q in
+  let fp = rp.Request_path.rp_fp in
+  let decomposing = rp.Request_path.rp_decomposing in
+  let degraded_fallback stale =
+    match stale with
     | Some entry ->
       locked t (fun () -> t.n_degraded_cache <- t.n_degraded_cache + 1);
       answer_of_entry fp "degraded-cache" true entry
@@ -447,11 +413,15 @@ let optimize_answer t ~watch (p : Protocol.optimize_params) =
         a_true_cost = Some cost;
       }
   in
-  let exact warm =
-    (* Per-request deadline drawn from the server's lifetime budget —
-       isolated, so the watchdog (or the drain sub-budget) can cancel
-       this one request without tripping every other in-flight solve;
-       cancelling the lifetime budget still winds it down. *)
+  (* One supervised solve, exact or decomposed. The per-request deadline
+     is drawn from the server's lifetime budget — isolated, so the
+     watchdog (or the drain sub-budget) can cancel this one request
+     without tripping every other in-flight solve; cancelling the
+     lifetime budget still winds it down. Exact solves retry; the
+     decomposition driver already degrades per cluster under its own
+     budget slices, so it gets one attempt. [None] means no answer: a
+     strike on the ladder. *)
+  let solve warm =
     let request_budget = Budget.sub t.budget ~limit ~isolate:true () in
     let unregister = watch request_budget limit in
     let outcome =
@@ -462,120 +432,62 @@ let optimize_answer t ~watch (p : Protocol.optimize_params) =
           let wedge = Faults.request_wedge () in
           if wedge > 0. then Unix.sleepf wedge;
           let t0 = Budget.now () in
-          let outcome = solve_with_retries t config request_budget ~mode ?warm fp q in
-          locked t (fun () -> record t.lat_solve (Budget.now () -. t0));
-          outcome)
-    in
-    match outcome with
-    | Ok r -> (
-      match r.Optimizer.plan with
-      | Some plan ->
-        let timed_out = r.Optimizer.stopped <> Milp.Branch_bound.Completed in
-        locked t (fun () ->
-            if timed_out then begin
-              t.n_timeouts <- t.n_timeouts + 1;
-              t.strikes <- t.strikes + 1
-            end
-            else t.strikes <- 0);
-        let entry = entry_of_result config r plan in
-        Plan_cache.add t.cache key entry;
-        locked t (fun () -> t.n_exact <- t.n_exact + 1);
-        Some (answer_of_entry fp "solved" false entry)
-      | None ->
-        locked t (fun () -> t.strikes <- t.strikes + 1);
-        None)
-    | Error _ ->
-      locked t (fun () -> t.strikes <- t.strikes + 1);
-      None
-  in
-  (* The decomposition path: partition, solve clusters under budget
-     slices, stitch. [Decompose.optimize] degrades cluster-by-cluster
-     internally, so a [None] here means the pipeline itself died. *)
-  let solve_decomposed () =
-    let request_budget = Budget.sub t.budget ~limit ~isolate:true () in
-    let unregister = watch request_budget limit in
-    let outcome =
-      Fun.protect ~finally:unregister (fun () ->
-          let wedge = Faults.request_wedge () in
-          if wedge > 0. then Unix.sleepf wedge;
-          let t0 = Budget.now () in
           let outcome =
-            try
-              Ok
-                (Decomp.Decompose.optimize ~config ~budget:request_budget
-                   ~jobs:t.cfg.sv_jobs (Fingerprint.canonical_query q))
-            with exn -> Error (Printexc.to_string exn)
+            if decomposing then
+              try
+                Ok
+                  (Request_path.solve ~jobs:t.cfg.sv_jobs ~budget:request_budget ~mode
+                     ?warm rp)
+              with exn -> Error (Printexc.to_string exn)
+            else solve_with_retries t request_budget ~mode ?warm rp
           in
           locked t (fun () -> record t.lat_solve (Budget.now () -. t0));
           outcome)
     in
     match outcome with
-    | Ok d ->
+    | Ok { Request_path.so_entry = Some entry; so_completed; so_clusters; so_seam_fallback }
+      ->
+      (* A completed solve clears the strikes; an exact timeout is one.
+         A decomposition with a degraded cluster is neither. *)
       locked t (fun () ->
-          t.n_decomposed <- t.n_decomposed + 1;
-          t.n_clusters_solved <- t.n_clusters_solved + d.Decomp.Decompose.d_num_clusters;
-          if d.Decomp.Decompose.d_seam_fallback then
-            t.n_seam_fallbacks <- t.n_seam_fallbacks + 1;
-          if not d.Decomp.Decompose.d_degraded then t.strikes <- 0);
-      let entry =
-        {
-          Plan_cache.e_plan = d.Decomp.Decompose.d_plan;
-          e_objective = None;
-          e_bound = 0.;
-          e_true_cost = Some d.Decomp.Decompose.d_true_cost;
-          e_provenance =
-            Printf.sprintf "decomposed:%d:%s%s%s"
-              d.Decomp.Decompose.d_num_clusters d.Decomp.Decompose.d_seam
-              (if d.Decomp.Decompose.d_seam_fallback then ":seam-fallback" else "")
-              (if d.Decomp.Decompose.d_degraded then ":degraded" else "");
-          e_precision = key.Plan_cache.k_precision;
-          e_decomposed = true;
-        }
-      in
-      Plan_cache.add t.cache key entry;
+          if decomposing then begin
+            t.n_decomposed <- t.n_decomposed + 1;
+            t.n_clusters_solved <- t.n_clusters_solved + so_clusters;
+            if so_seam_fallback then t.n_seam_fallbacks <- t.n_seam_fallbacks + 1
+          end;
+          if so_completed then t.strikes <- 0
+          else if not decomposing then begin
+            t.n_timeouts <- t.n_timeouts + 1;
+            t.strikes <- t.strikes + 1
+          end);
+      Plan_cache.add t.cache rp.Request_path.rp_key entry;
       locked t (fun () -> t.n_exact <- t.n_exact + 1);
-      Some (answer_of_entry fp "decomposed" false entry)
-    | Error _ ->
+      Some (answer_of_entry fp (if decomposing then "decomposed" else "solved") false entry)
+    | Ok { Request_path.so_entry = None; _ } | Error _ ->
       locked t (fun () -> t.strikes <- t.strikes + 1);
       None
   in
   let answer =
-    let lookup =
-      match Plan_cache.find t.cache key with
-      (* Honest provenance: a decomposed entry never answers a request
-         that expects a monolithic certified solve — fall through to the
-         exact path (whose insert then overwrites the decomposed entry
-         under the same key). *)
-      | Plan_cache.Hit e when e.Plan_cache.e_decomposed && not decomposing ->
-        Plan_cache.Miss
-      | l -> l
-    in
+    let lookup = Request_path.lookup t.cache rp in
+    let stale = match lookup with Plan_cache.Stale_precision e -> Some e | _ -> None in
+    let warm = Request_path.warm_entry mode rp lookup in
     match lookup with
     | Plan_cache.Hit entry ->
       locked t (fun () -> t.n_cache_hits <- t.n_cache_hits + 1);
       answer_of_entry fp "cache-hit" false entry
-    | (Plan_cache.Stale_precision _ | Plan_cache.Miss) as lookup when decomposing
-      -> (
-      (* Decomposing requests bypass the exact retry/probe ladder: the
-         decomposition driver already degrades per cluster under its own
-         budget slices. A stale-precision exact entry is still a valid
-         (honestly-labeled) fallback plan if the pipeline dies. *)
-      let warm =
-        match lookup with Plan_cache.Stale_precision e -> Some e | _ -> None
-      in
-      match solve_decomposed () with
+    | Plan_cache.Stale_precision _ | Plan_cache.Miss when decomposing -> (
+      (* Decomposing requests bypass the exact retry/probe ladder. A
+         stale-precision exact entry is still a valid (honestly-labeled)
+         fallback plan if the pipeline dies. *)
+      match solve warm with
       | Some a -> a
-      | None -> degraded_fallback warm)
-    | (Plan_cache.Stale_precision _ | Plan_cache.Miss) as lookup -> (
-      let warm =
-        match lookup with Plan_cache.Stale_precision e -> Some e | _ -> None
-      in
+      | None -> degraded_fallback stale)
+    | Plan_cache.Stale_precision _ | Plan_cache.Miss -> (
       match locked t (fun () -> t.mode) with
       | Exact -> (
-        match exact warm with
+        match solve warm with
         | Some a ->
-          locked t (fun () ->
-              if mode = Protocol.Warm_cache && warm <> None then t.n_warm <- t.n_warm + 1);
+          if warm <> None then locked t (fun () -> t.n_warm <- t.n_warm + 1);
           a
         | None ->
           locked t (fun () ->
@@ -586,7 +498,7 @@ let optimize_answer t ~watch (p : Protocol.optimize_params) =
                 t.probe_clock <- 0;
                 t.n_degradations <- t.n_degradations + 1
               end);
-          degraded_fallback warm)
+          degraded_fallback stale)
       | Degraded ->
         (* Probe the exact path every k-th request; a clean completion
            recovers the server, anything else keeps it degraded. *)
@@ -597,7 +509,7 @@ let optimize_answer t ~watch (p : Protocol.optimize_params) =
         in
         if probe then begin
           locked t (fun () -> t.n_probes <- t.n_probes + 1);
-          match exact warm with
+          match solve warm with
           | Some a ->
             locked t (fun () ->
                 if t.strikes = 0 && t.mode = Degraded then begin
@@ -606,9 +518,9 @@ let optimize_answer t ~watch (p : Protocol.optimize_params) =
                 end);
             (* answered exactly; recovered only on a clean completion *)
             a
-          | None -> degraded_fallback warm
+          | None -> degraded_fallback stale
         end
-        else degraded_fallback warm)
+        else degraded_fallback stale)
   in
   maybe_snapshot t;
   answer

@@ -105,7 +105,7 @@ let scenario_scheduler i =
     with_yields
       { Faults.none with Faults.f_seed = seed + i; f_yield_every = 3 }
       (fun () ->
-        Scheduler.run ~config:quick_config ~cache ~jobs:4 ~oversubscribe:true (batch k))
+        Scheduler.run ~config:quick_config ~cache ~jobs:4 (batch k))
   in
   if stats.Scheduler.s_failures <> 0 then
     fail "iter %d scheduler: %d failures under pure yield perturbation" i
@@ -219,7 +219,7 @@ let scenario_aborts i =
     with_yields
       { Faults.none with Faults.f_seed = seed + i; f_yield_every = 3; f_abort_every = 4 }
       (fun () ->
-        Scheduler.run ~config:quick_config ~cache ~jobs:4 ~oversubscribe:true requests)
+        Scheduler.run ~config:quick_config ~cache ~jobs:4 requests)
   in
   (* Aborted handlers may fail their own request, but every request must
      still get exactly one report (a shared flight whose leader aborted

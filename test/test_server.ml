@@ -980,6 +980,101 @@ let test_decompose_protocol () =
   Alcotest.(check bool) "decomposition counter advanced" true (n >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Front ends                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The same request sequence through both front ends — the batch
+   scheduler and the server — each with its own cache, under every
+   warm-start mode. The sequence covers cold solves, a permuted
+   duplicate (cache hit), a stale-precision pair (warm start), a
+   [Dc_force] request (decomposed), an exact entry serving a decomposing
+   request, and the honest-provenance gate refusing a decomposed entry
+   to an exact request. Both must give every request the same plan,
+   objective, provenance and decomposed flag. *)
+let test_front_ends_agree () =
+  let base seed tables = query ~tables seed in
+  let q1 = base 71 5 and q2 = base 72 4 and q4 = base 74 8 in
+  let q1' = Query.permute_tables q1 ~perm:[| 4; 2; 0; 3; 1 |] in
+  let phases =
+    Joinopt.Thresholds.
+      [
+        (Medium, Joinopt.Optimizer.Dc_auto, [ q1; q2; q1' ]);
+        (High, Joinopt.Optimizer.Dc_auto, [ q1; q2 ]);
+        (Medium, Joinopt.Optimizer.Dc_force, [ q4; q1 ]);
+        (Medium, Joinopt.Optimizer.Dc_auto, [ q4 ]);
+      ]
+  in
+  let limit = test_config.Server.sv_default_limit in
+  List.iter
+    (fun warm ->
+      let mode = Protocol.warm_to_string warm in
+      let server = Server.create ~config:test_config () in
+      let cache = Plan_cache.create ~capacity:test_config.Server.sv_cache_capacity () in
+      List.iteri
+        (fun phase (precision, policy, queries) ->
+          let config =
+            { Joinopt.Optimizer.default_config with
+              Joinopt.Optimizer.cost = test_config.Server.sv_cost }
+            |> Joinopt.Optimizer.with_precision precision
+            |> Joinopt.Optimizer.with_decomp
+                 { test_config.Server.sv_decomp with Joinopt.Optimizer.dc_policy = policy }
+            |> Joinopt.Optimizer.with_time_limit limit
+          in
+          let requests =
+            List.mapi
+              (fun i q -> { Scheduler.r_label = Printf.sprintf "p%d-%d" phase i; r_query = q })
+              queries
+          in
+          let reports, _ = Scheduler.run ~config ~cache ~warm requests in
+          let lines =
+            List.map
+              (fun r ->
+                Json.to_string ~indent:false
+                  (Json.Obj
+                     [
+                       ("op", Json.String "optimize");
+                       ("id", Json.String r.Scheduler.r_label);
+                       ( "precision",
+                         Json.String (Joinopt.Thresholds.precision_to_string precision) );
+                       ( "decompose",
+                         Json.String (Joinopt.Optimizer.decomp_policy_to_string policy) );
+                       ("warm_start", Json.String mode);
+                       ("query", Json.String (Query_file.to_string r.Scheduler.r_query));
+                     ]))
+              requests
+          in
+          let responses = List.map parse_response (Server.handle_batch server lines) in
+          List.iter2
+            (fun (r : Scheduler.report) (q, doc) ->
+              let what f = Printf.sprintf "%s %s: %s" mode r.Scheduler.o_label f in
+              Alcotest.(check string) (what "status") "ok" (status doc);
+              let plan =
+                match r.Scheduler.o_plan with
+                | Some p -> Format.asprintf "%a" (Plan.pp_with_query q) p
+                | None -> Alcotest.failf "%s" (what "batch produced no plan")
+              in
+              Alcotest.(check string) (what "plan") plan (str_field doc "plan");
+              Alcotest.(check (option (float 0.)))
+                (what "objective") r.Scheduler.o_objective
+                (Json.to_float_opt (field doc "objective"));
+              Alcotest.(check string)
+                (what "provenance") r.Scheduler.o_provenance (str_field doc "provenance");
+              Alcotest.(check bool)
+                (what "decomposed") r.Scheduler.o_decomposed
+                (field doc "decomposed" = Json.Bool true);
+              Alcotest.(check bool)
+                (what "cache hit") (r.Scheduler.o_source = Scheduler.Cache_hit)
+                (str_field doc "source" = "cache-hit");
+              (* the stale-precision pair warm-starts exactly in cache mode *)
+              Alcotest.(check bool)
+                (what "warm start") (warm = Protocol.Warm_cache && phase = 1)
+                (r.Scheduler.o_source = Scheduler.Warm_started))
+            reports
+            (List.combine queries responses))
+        phases)
+    Protocol.[ Warm_off; Warm_greedy; Warm_portfolio; Warm_cache ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "server"
@@ -1019,6 +1114,8 @@ let () =
           Alcotest.test_case "flight cleanup under aborts" `Quick
             test_flight_cleanup_on_abort;
         ] );
+      ( "front ends",
+        [ Alcotest.test_case "batch and serve answer alike" `Quick test_front_ends_agree ] );
       ( "io",
         [
           Alcotest.test_case "serve_fds pipe loop" `Quick test_serve_fds;

@@ -287,7 +287,7 @@ let test_scheduler_dedup_in_flight () =
     (* Oversubscribe deliberately: waiters sleep on a condition, so extra
        domains cost nothing, and the in-flight path needs concurrency
        even on a single-core machine. *)
-    Scheduler.run ~config:quick_config ~cache ~jobs:4 ~oversubscribe:true requests
+    Scheduler.run ~config:quick_config ~cache ~jobs:4 requests
   in
   Alcotest.(check int) "one cold solve" 1 stats.Scheduler.s_solved;
   Alcotest.(check int) "everything else shared or cached" 7
@@ -370,7 +370,7 @@ let test_differential_cache_transparency () =
   Alcotest.(check bool) "at least 30 queries" true (List.length requests >= 30);
   let cache = Plan_cache.create ~capacity:64 () in
   let cached_reports, cached_stats =
-    Scheduler.run ~config:quick_config ~cache ~jobs:2 ~oversubscribe:true requests
+    Scheduler.run ~config:quick_config ~cache ~jobs:2 requests
   in
   let cold_reports, cold_stats = Scheduler.run ~config:quick_config requests in
   Alcotest.(check int) "no cached failures" 0 cached_stats.Scheduler.s_failures;

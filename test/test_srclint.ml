@@ -46,6 +46,7 @@ let scenarios =
     ("lock_cycle", [ ("lock_cycle.ml.fx", "lib/service/fx_locks.ml") ], None);
     ("lock_order_clean", [ ("lock_order_clean.ml.fx", "lib/service/fx_order.ml") ], None);
     ("blocking", [ ("blocking.ml.fx", "lib/service/fx_block.ml") ], None);
+    ("request_path", [ ("request_path_locked.ml.fx", "lib/service/fx_request.ml") ], None);
     ("wait_wrong", [ ("wait_wrong.ml.fx", "lib/service/fx_wait.ml") ], None);
     ("spawn_race", [ ("spawn_race.ml.fx", "lib/service/fx_spawn.ml") ], None);
     ("budget_holes", [ ("budget_holes.ml.fx", "lib/milp/cuts.ml") ], None);

@@ -25,7 +25,7 @@ let blocking_idents =
 
 let solver_entry_idents =
   [ "Optimizer.optimize"; "Branch_bound.solve"; "Solver.solve"; "Simplex.solve";
-    "Scheduler.run" ]
+    "Scheduler.run"; "Request_path.solve" ]
 
 let is_blocking name = List.mem name blocking_idents
 
